@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
   {
     CounterRegistry counters;
     net::Network net(&counters);
-    overlay::ChordOverlay chord(&net, Rng(5));
+    overlay::ChordOverlay chord(&net);
     std::vector<net::PeerId> members;
     for (uint32_t i = 0; i < n; ++i) {
       members.push_back(i);
@@ -112,19 +112,18 @@ int main(int argc, char** argv) {
   {
     CounterRegistry counters;
     net::Network net(&counters);
-    overlay::ChordOverlay chord(&net, Rng(9));
+    overlay::ChordOverlay chord(&net);
     std::vector<net::PeerId> members;
     for (uint32_t i = 0; i < n; ++i) {
       members.push_back(i);
       net.SetOnline(i, true);
     }
     chord.SetMembers(members);
-    overlay::ChordMaintenance maint(&chord, &net, p.env, Rng(10));
     constexpr int kRounds = 50;
-    for (int r = 0; r < kRounds; ++r) maint.RunRound();
+    for (int r = 0; r < kRounds; ++r) chord.RunMaintenanceRound(p.env);
     double per_peer_per_round =
-        static_cast<double>(maint.stats().probes_sent) / kRounds /
-        static_cast<double>(n);
+        static_cast<double>(chord.maintenance_stats().probes_sent) /
+        kRounds / static_cast<double>(n);
     add("probe msgs/peer/round (env*log2 n)", per_peer_per_round,
         p.env * std::log2(static_cast<double>(n)));
   }

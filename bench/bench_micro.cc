@@ -81,7 +81,7 @@ BENCHMARK(BM_TtlIndexEvictExpired);
 void BM_ChordLookup(benchmark::State& state) {
   CounterRegistry counters;
   net::Network net(&counters);
-  overlay::ChordOverlay chord(&net, Rng(6));
+  overlay::ChordOverlay chord(&net);
   uint32_t n = static_cast<uint32_t>(state.range(0));
   std::vector<net::PeerId> members;
   for (uint32_t i = 0; i < n; ++i) {

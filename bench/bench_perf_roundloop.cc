@@ -4,14 +4,14 @@
 // so hot-path regressions (message accounting, replica-group allocation,
 // metric probes) are caught as a number, not a feeling.  The
 // --sim-threads axis (comma list, e.g. --sim-threads=1,4) measures the
-// sharded round engine: 1 runs the legacy serial loop, >1 runs the
-// phase-parallel engine whose results are bit-identical at any thread
+// round engine at each thread count: 1 runs every phase inline on the
+// caller, >1 on a worker pool, with results bit-identical at any thread
 // count (tests/integration/sharded_determinism_test.cc).
 //
 // Scenarios are the paper's Table 1 at 1/14 and 1/50 scale (peers and keys
 // divided, per-peer storage and replication reduced proportionally), run
 // under churn so the probe/repair path is part of the measured loop, plus
-// the 100k- and 1M-peer scale-up scenarios the sharded engine exists for.
+// the 100k- and 1M-peer scale-up scenarios the worker pool exists for.
 // Each scenario is measured for the strategies whose round loops differ
 // most: partialTtl (index-first queries, TTL eviction) and indexAll
 // (proactive updates, no eviction); the 1M scenario runs partialTtl only
@@ -26,28 +26,29 @@
 // uploads both JSONs so the scaling ratio is tracked per commit.
 //
 // Reading the --sim-threads axis: speedup only appears when the host
-// actually has the cores (the committed baseline was recorded on a
-// single-CPU container, where 4 threads measuring ~parity with 1 is the
-// expected result -- it shows the pool adds no synchronization pathology
-// when oversubscribed, not that sharding is free).  Compare thread
-// counts from the same host; CI's two smoke JSONs give that per commit.
+// actually has the cores (the JSON records the host's core count as
+// host_cores; on a single-CPU host 4 threads measuring ~parity with 1 is
+// the expected result -- it shows the pool adds no synchronization
+// pathology when oversubscribed, not that parallelism is free).  Compare
+// thread counts from the same host; CI's two smoke JSONs give that per
+// commit.
 //
 // Flags: the shared set (bench_common.h; --rounds=<n> below a scenario's
 // default budget = smoke mode for it -- an explicit --rounds is capped at
 // each scenario's default so a small-scenario budget cannot explode the
 // 1M-peer run -- --full adds the paper-scale scenario, --json=<path>
 // overrides the baseline output path).  --sim-threads accepts the token
-// "auto" as an axis point (the system picks serial vs sharded from the
-// work size and sizes the pool from the host).  --phase-times enables
-// the opt-in round.phase.*.ms series and prints a per-phase wall-clock
-// breakdown plus a serial_fraction column ((plan + publish + drain) /
-// total, the sharded engine's Amdahl floor) -- the tool for spotting
-// which serial remainder dominates at a given scale.
+// "auto" as an axis point (one thread per hardware thread, capped at 8).
+// --phase-times enables the opt-in round.phase.*.ms series and prints a
+// per-phase wall-clock breakdown plus a serial_fraction column ((plan +
+// publish + drain) / total, the engine's Amdahl floor) -- the tool for
+// spotting which serial remainder dominates at a given scale.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -120,7 +121,7 @@ void BoundUnstructuredSearch(SystemConfig& c) {
 // 5x the paper's peer population with the paper's 2-keys-per-peer ratio;
 // per-peer storage/replication at the 1/14-scale values.  This is the
 // first rung of the ROADMAP's millions-of-peers ladder and the scale at
-// which the sharded engine's SoA/arena layout starts to matter.
+// which the SoA/arena layout starts to matter.
 SystemConfig Scale100kConfig() {
   SystemConfig c;
   c.params.num_peers = 100000;
@@ -161,7 +162,7 @@ constexpr const char* kPhaseNames[] = {"churn",  "maint",   "plan",
                                        "evict",  "drain"};
 constexpr size_t kNumPhases = sizeof(kPhaseNames) / sizeof(kPhaseNames[0]);
 
-/// Phases that still hold serial work in the sharded engine.  plan and
+/// Phases that still hold serial work in the round engine.  plan and
 /// publish keep a serial remainder (prefix sum, the order-sensitive
 /// publish slice) and drain falls back to serial whenever a batch holds
 /// an unkeyed or cancelled event, so their combined share of the round is
@@ -185,8 +186,8 @@ struct Measurement {
   std::string scenario;
   std::string strategy;
   uint64_t peers = 0;
-  /// Axis label: a thread count ("1", "4") or "auto" (engine selection
-  /// left to SystemConfig::sim_threads_auto).
+  /// Axis label: a thread count ("1", "4") or "auto" (one thread per
+  /// hardware thread, capped at 8).
   std::string sim_threads = "1";
   uint64_t warmup = 0;
   uint64_t rounds = 0;
@@ -197,7 +198,7 @@ struct Measurement {
   bool has_phases = false;
   double phase_ms[kNumPhases] = {};
   /// (plan + publish + drain) / total phase time: the serial share of the
-  /// round under the sharded engine.  0 when phases were not recorded.
+  /// round.  0 when phases were not recorded.
   double serial_fraction = 0.0;
   /// Scenarios have different default budgets, so smoke (reduced budget,
   /// shape checks informational) is tracked per measurement, not in the
@@ -211,9 +212,12 @@ Measurement MeasureOne(const Scenario& sc, Strategy strategy,
   SystemConfig config = sc.config;
   config.strategy = strategy;
   if (sim_threads == BenchFlags::kSimThreadsAuto) {
-    config.sim_threads_auto = true;  // engine + thread count by work size
+    // Results are bit-identical at any thread count, so sizing the pool
+    // from the host changes wall-clock only.
+    const unsigned hw = std::thread::hardware_concurrency();
+    config.sim_threads = std::clamp<uint32_t>(hw == 0 ? 1 : hw, 1, 8);
   } else {
-    config.sim_threads = sim_threads;  // 1 = legacy serial engine
+    config.sim_threads = sim_threads;  // 1 = every phase inline
   }
   config.phase_timing = phase_times;
   pdht::core::PdhtSystem system(config);
@@ -267,6 +271,9 @@ bool WriteJson(const std::string& path,
 #endif
   std::fprintf(f, "{\n  \"bench\": \"roundloop\",\n");
   std::fprintf(f, "  \"build\": \"%s\",\n", build);
+  // Rows from hosts with different core counts are not comparable.
+  std::fprintf(f, "  \"host_cores\": %u,\n",
+               std::thread::hardware_concurrency());
   std::fprintf(f, "  \"seed\": %llu,\n",
                static_cast<unsigned long long>(kSeed));
   std::fprintf(f, "  \"scenarios\": [\n");
@@ -353,7 +360,7 @@ int main(int argc, char** argv) {
 
   if (flags.phase_times) {
     // Per-phase wall-clock breakdown (mean ms/round over the timed
-    // window).  plan, publish and drain carry the sharded engine's serial
+    // window).  plan, publish and drain carry the engine's serial
     // remainders (prefix sum, the order-sensitive publish slice, the
     // serial-fallback drain path); serial_frac = their combined share of
     // the row, i.e. the Amdahl floor of the parallel phases.  Serial-

@@ -10,8 +10,8 @@
 // Each cell is ONE simulation run (no experiment-runner aggregation):
 // recovery is judged from the per-round hit-rate series via
 // ComputeRecoveryMetrics, which needs the series, not its tail mean.
-// All cells pin sim_shards = 4 so the sharded engine's task order -- and
-// therefore every recorded series -- is independent of --sim-threads.
+// All cells pin sim_shards = 4; every recorded series is independent of
+// --sim-threads (and of the shard count) by the round engine's contract.
 //
 // Shape checks:
 //   1. The outage engages and disrupts lookups: the online fraction
@@ -61,8 +61,8 @@ constexpr uint64_t kDefaultRounds = 360;
 constexpr double kRecoveryThreshold = 0.95;
 
 /// The bench_latency 1/14 scenario moved onto the transit-stub topology
-/// (the outage needs clusters to take down), sharded engine pinned at 4
-/// shards for thread-count-independent series.
+/// (the outage needs clusters to take down), round engine pinned at 4
+/// shards.
 SystemConfig ScenarioConfigFor(pdht::core::DhtBackend backend,
                                uint64_t rounds, bool resilient) {
   SystemConfig c;

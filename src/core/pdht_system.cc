@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <thread>
 
 #include "model/selection_model.h"
 #include "net/rtt_estimator.h"
@@ -41,14 +40,6 @@ class ScopedPhaseMs {
   size_t phase_;
   std::chrono::steady_clock::time_point start_;
 };
-
-/// sim_threads_auto work floor: below this expected per-round work (every
-/// peer is swept by churn/eviction, plus one task per expected query) the
-/// sharded engine's pool wake/barrier overhead outweighs the parallelism,
-/// so auto picks the serial engine.  Compared against a pure function of
-/// the configuration -- never the machine -- so the engine choice (and
-/// with it the random stream) is reproducible across hosts.
-constexpr double kAutoShardedWorkFloor = 16384.0;
 
 }  // namespace
 
@@ -102,7 +93,7 @@ PdhtSystem::PdhtSystem(const SystemConfig& config)
   SelectDhtMembers();
   PreloadIndex();
   RegisterActors();
-  SetupShardedEngine();
+  SetupEngine();
 }
 
 PdhtSystem::~PdhtSystem() = default;
@@ -248,12 +239,6 @@ void PdhtSystem::BuildSubstrates() {
       static_cast<uint32_t>(p.num_peers), static_cast<uint32_t>(p.repl),
       rng_.Fork());
   content_->PlaceKeys(p.keys);
-
-  auto oracle = [this](net::PeerId peer, uint64_t key) {
-    return content_->PeerHoldsKey(peer, key);
-  };
-  walk_ = std::make_unique<overlay::RandomWalkSearch>(
-      graph_.get(), network_.get(), oracle, config_.walk, rng_.Fork());
 
   workload_ = std::make_unique<metadata::QueryWorkload>(
       p.keys, p.alpha, rng_.Fork());
@@ -499,217 +484,57 @@ uint64_t PdhtSystem::StatisticalReplicaFloodCost(Rng& rng) {
   return whole + (rng.Bernoulli(frac) ? 1 : 0);
 }
 
-void PdhtSystem::InsertIntoIndex(uint64_t key, double now, double ttl) {
-  // Route the insert to the responsible region (cSIndx) ...
-  net::PeerId entry = DhtEntryPoint(rng_, net::kInvalidPeer);
-  if (entry == net::kInvalidPeer) return;
-  overlay::LookupResult route = DhtLookup(entry, key);
-  (void)route;
-  // ... then flood the replica subnetwork with the new value (repl * dup2).
-  network_->CountOnly(net::MessageType::kReplicaPush,
-                      StatisticalReplicaFloodCost(rng_));
-  for (net::PeerId rep : IndexReplicasOf(key)) {
-    if (!network_->IsOnline(rep)) continue;  // offline replicas pull later
-    uint64_t displaced = nodes_[rep].index().Put(key, now, ttl);
-    if (displaced != TtlIndex::kNoKey) DecResidency(displaced);
-    IncResidency(key);
-  }
-}
-
-QueryOutcome PdhtSystem::RunUnstructuredQuery(net::PeerId origin,
-                                              uint64_t key) {
-  QueryOutcome out;
-  out.origin = origin;
-  out.used_unstructured = true;
-  overlay::WalkResult wr = walk_->Search(origin, key);
-  out.found = wr.found;
-  out.unstructured_messages = wr.messages;
-  if (wr.found) {
-    autotuner_.ObserveUnstructuredSearch(
-        static_cast<double>(wr.messages));
-  }
-  return out;
-}
-
-QueryOutcome PdhtSystem::RunIndexFirstQuery(net::PeerId origin, uint64_t key,
-                                            bool ttl_semantics) {
-  QueryOutcome out;
-  out.origin = origin;
-  const double now = engine_.now();
-  uint64_t before = network_->TotalMessages();
-  // Lookup-RTT bracket: the index phase's messages are sequential hops,
-  // so its serialized latency is the delta of the network's running
-  // link-delay sum (0 under immediate delivery).
-  const double lat_before = network_->total_latency_s();
-
-  net::PeerId entry = DhtEntryPoint(rng_, origin);
-  if (entry == net::kInvalidPeer) {
-    // DHT unreachable (everything offline): degrade to broadcast.
-    QueryOutcome fallback = RunUnstructuredQuery(origin, key);
-    fallback.index_messages = network_->TotalMessages() - before -
-                              fallback.unstructured_messages;
-    return fallback;
-  }
-
-  overlay::LookupResult route = DhtLookup(entry, key);
-  if (network_->deferred_delivery() &&
-      route.terminus != net::kInvalidPeer) {
-    // Paired samples: measured serialized RTT of this lookup vs the
-    // direct origin->terminus round trip -- their mean ratio is the
-    // routing stretch bench_latency reports.  Timeout costing folds
-    // failed-probe waits into the same latency sum, so the RTT bracket
-    // prices them automatically.
-    lookup_rtt_ms_.Add((network_->total_latency_s() - lat_before) * 1e3);
-    lookup_direct_ms_.Add(delivery_->RttMs(origin, route.terminus));
-    lookup_hops_.Add(static_cast<double>(route.hops));
-    for (uint32_t k = 0; k < route.hop_rtt_n; ++k) {
-      hop_rtt_ms_[k].Add(route.hop_rtt_ms[k]);
-    }
-  }
-  net::PeerId holder = net::kInvalidPeer;
-  if (route.success && route.terminus != net::kInvalidPeer &&
-      nodes_[route.terminus].index().Contains(key, now)) {
-    holder = route.terminus;
-  }
-  if (holder == net::kInvalidPeer) {
-    // Terminus cannot answer: flood the replica subnetwork (Section 5.1;
-    // purging leaves replicas unsynchronized, so siblings may still hold
-    // the key).
-    network_->CountOnly(net::MessageType::kReplicaFlood,
-                        StatisticalReplicaFloodCost(rng_));
-    for (net::PeerId rep : IndexReplicasOf(key)) {
-      if (!network_->IsOnline(rep)) continue;
-      if (nodes_[rep].index().Contains(key, now)) {
-        holder = rep;
-        break;
-      }
-    }
-  }
-
-  if (holder != net::kInvalidPeer) {
-    if (ttl_semantics) {
-      nodes_[holder].index().Touch(key, now, EffectiveKeyTtl());
-    }
-    out.found = true;
-    out.answered_from_index = true;
-    out.index_messages = network_->TotalMessages() - before;
-    autotuner_.ObserveIndexSearch(
-        static_cast<double>(out.index_messages));
-    return out;
-  }
-
-  out.index_messages = network_->TotalMessages() - before;
-  autotuner_.ObserveIndexSearch(static_cast<double>(out.index_messages));
-  // Miss: broadcast search, then (TTL algorithm only) insert the result.
-  QueryOutcome walk_out = RunUnstructuredQuery(origin, key);
-  out.used_unstructured = true;
-  out.found = walk_out.found;
-  out.unstructured_messages = walk_out.unstructured_messages;
-  if (ttl_semantics && out.found) {
-    uint64_t before_insert = network_->TotalMessages();
-    InsertIntoIndex(key, now, EffectiveKeyTtl());
-    out.index_messages += network_->TotalMessages() - before_insert;
-  }
-  return out;
-}
-
 QueryOutcome PdhtSystem::ExecuteQuery(uint64_t key) {
-  net::PeerId origin = RandomOnlinePeer();
   QueryOutcome out;
-  if (origin == net::kInvalidPeer) return out;
-
-  switch (config_.strategy) {
-    case Strategy::kNoIndex:
-      out = RunUnstructuredQuery(origin, key);
-      break;
-    case Strategy::kIndexAll:
-      out = RunIndexFirstQuery(origin, key, /*ttl_semantics=*/false);
-      break;
-    case Strategy::kPartialIdeal: {
-      // Oracle: every peer knows whether the key is worth indexing.
-      bool indexed = workload_->RankOf(key) <= oracle_max_rank_;
-      out = indexed ? RunIndexFirstQuery(origin, key, false)
-                    : RunUnstructuredQuery(origin, key);
-      break;
-    }
-    case Strategy::kPartialTtl:
-      out = RunIndexFirstQuery(origin, key, /*ttl_semantics=*/true);
-      break;
-  }
-  nodes_[origin].RecordQuery(out.answered_from_index);
+  out.origin = RandomOnlinePeer();
+  if (out.origin == net::kInvalidPeer) return out;
+  // A one-task plan through the round engine's execute/publish path.  The
+  // task stream hangs off a per-call counter, so the origin is the only
+  // main-stream draw an ad-hoc query consumes.
+  query_tasks_.assign(1, MakeQueryTask(key, out.origin));
+  query_results_.resize(1);
+  wave_order_.assign(1, 0);
+  if (overlay_) overlay_->members();
+  const uint64_t seed = Mix64(HashCombine(
+      HashCombine(config_.seed, 0x61646863ULL), ++adhoc_queries_));  // "adhc"
+  ExecuteQueryTasks(seed, 0, 1);
+  PublishQueryWave(0, 1);
+  TallyQueryOrigins();
+  const QueryTaskResult& r = query_results_[0];
+  out.found = r.found;
+  out.answered_from_index = r.answered_from_index;
+  out.used_unstructured = r.used_unstructured;
+  out.index_messages = r.index_messages;
+  out.unstructured_messages = r.unstructured_messages;
   return out;
 }
 
-void PdhtSystem::RunQueryActor(sim::RoundContext& ctx) {
-  if (sharded_) {
-    RunShardedQueryActor(ctx);
-    return;
-  }
-  ScopedPhaseMs timer(&engine_, kPhaseQuery);
-  const auto& p = config_.params;
-  round_queries_ = 0;
-  round_hits_ = 0;
-  if (config_.trace != nullptr) {
-    // Trace replay: every entry tagged with this round, verbatim.
-    auto [begin, end] = config_.trace->RoundRange(ctx.round);
-    for (size_t i = begin; i < end; ++i) {
-      uint64_t key = config_.trace->entries()[i].key;
-      if (key >= p.keys) continue;  // foreign trace entries are skipped
-      QueryOutcome out = ExecuteQuery(key);
-      ++round_queries_;
-      if (out.answered_from_index) ++round_hits_;
-    }
-    return;
-  }
-  uint64_t count = workload_->SampleQueryCount(p.num_peers, p.f_qry);
-  for (uint64_t q = 0; q < count; ++q) {
-    uint64_t key = workload_->SampleKey();
-    QueryOutcome out = ExecuteQuery(key);
-    ++round_queries_;
-    if (out.answered_from_index) ++round_hits_;
-  }
-}
-
-// --- Sharded round engine -------------------------------------------------
+// --- Round engine -----------------------------------------------------------
 //
-// The parallel query phase runs in three steps (docs/architecture.md):
-//  1. PLAN (serial): draw the round's query count, keys and origins from
-//     the main workload/Rng streams -- one deterministic sequence no
-//     matter how many threads or shards run the phase.
-//  2. EXECUTE (parallel): the worker pool claims tasks; each task routes
-//     against the round-start snapshot of the index/overlay state, draws
-//     from its own Rng(Mix64(HashCombine(round_seed, task))), counts
-//     messages into its worker's lane, and buffers every state mutation.
-//  3. PUBLISH (serial): lane counter deltas merge (order-free), then each
-//     task's order-sensitive effects replay in global task order --
-//     deferred deliveries, autotuner observations, Touch/insert Puts,
-//     RTT samples, per-origin RecordQuery -- so the result is a pure
-//     function of the task list, independent of worker assignment.
+// Every phase of a round runs the same three steps (docs/architecture.md):
+//  1. PLAN: materialize the phase's task list -- from derived streams
+//     keyed on (seed, round, fixed chunk or trace entry), or from
+//     fixed-order main-stream draws -- so it is one deterministic list no
+//     matter how many threads run.
+//  2. EXECUTE: the worker pool claims tasks; each task (for maintenance,
+//     each fixed chunk of tasks) draws from its own
+//     Rng(Mix64(HashCombine(phase_seed, index))), counts messages into its
+//     worker's lane, and buffers every order-sensitive mutation.  With
+//     sim_threads = 1 the pool runs the tasks inline on the caller.
+//  3. PUBLISH: lane counter deltas merge (order-free), then each task's
+//     order-sensitive effects -- deferred deliveries, autotuner
+//     observations, Touch/insert Puts, RTT samples -- replay in task
+//     order, so the result is a pure function of the task list,
+//     independent of worker assignment.
+//
+// Queries execute and publish in two waves so the index learns within a
+// round (the TTL algorithm's miss-then-insert, Section 5.1): wave 0 is
+// the first task of each key, wave 1 every repeat.  Wave 0's inserts and
+// touches land before wave 1 executes, so a hot key's repeats hit the
+// index instead of all flooding against the round-start snapshot.
 
-void PdhtSystem::SetupShardedEngine() {
-  uint32_t threads = std::max<uint32_t>(1, config_.sim_threads);
-  if (config_.sim_threads_auto) {
-    // Auto engine selection.  The serial/sharded decision compares the
-    // configuration's expected per-round work against a fixed floor --
-    // never the machine -- because the two engines are distinct random
-    // streams.  The *thread count* is hardware-derived (capped so a
-    // many-core host doesn't spin up workers the phase sizes can't
-    // feed): sharded results are bit-identical at any thread count, so
-    // this affects wall-clock only.
-    const auto& p = config_.params;
-    const double work =
-        static_cast<double>(p.num_peers) * (1.0 + p.f_qry);
-    if (work < kAutoShardedWorkFloor) {
-      sharded_ = false;
-      return;
-    }
-    const unsigned hw = std::thread::hardware_concurrency();
-    threads = std::clamp<uint32_t>(hw == 0 ? 1 : hw, 1, 8);
-    sharded_ = true;
-  } else {
-    sharded_ = config_.sim_threads > 1 || config_.sim_shards > 0;
-    if (!sharded_) return;
-  }
+void PdhtSystem::SetupEngine() {
+  const uint32_t threads = std::max<uint32_t>(1, config_.sim_threads);
   num_shards_ = config_.sim_shards > 0 ? config_.sim_shards : 4 * threads;
   pool_ = std::make_unique<sim::ShardPool>(threads);
   lanes_.resize(threads);
@@ -721,9 +546,9 @@ void PdhtSystem::SetupShardedEngine() {
   walk_slots_.reserve(threads);
   for (uint32_t w = 0; w < threads; ++w) {
     // One searcher per worker so walk scratch never crosses threads.  The
-    // searcher's own stream is never used -- sharded tasks always pass
-    // their derived task Rng -- and seeding it from a hash (not a
-    // rng_.Fork()) keeps the main stream independent of the thread count.
+    // searcher's own stream is never used -- tasks always pass their
+    // derived task Rng -- and seeding it from a hash (not a rng_.Fork())
+    // keeps the main stream independent of the thread count.
     walk_slots_.push_back(std::make_unique<overlay::RandomWalkSearch>(
         graph_.get(), network_.get(), oracle, config_.walk,
         Rng(Mix64(HashCombine(config_.seed, 0x77616c6bULL + w)))));
@@ -733,9 +558,10 @@ void PdhtSystem::SetupShardedEngine() {
   // for every thread count.
   shard_members_.assign(num_shards_, {});
   for (net::PeerId m : dht_members_) {
-    shard_members_[Mix64(m) % num_shards_].push_back(m);
+    shard_members_[HomeShard(m)].push_back(m);
   }
   evict_buffers_.assign(num_shards_, {});
+  key_stamp_.assign(config_.params.keys, 0);
   // Partitioned boundary drain: deferred-delivery arrivals are tagged
   // with their destination (PDHT peers are handler-free, so an arrival's
   // only effect is the commutative drop tally), letting the drain hand
@@ -771,6 +597,7 @@ PdhtSystem::QueryTask PdhtSystem::MakeQueryTask(uint64_t key,
       t.index_first = true;
       break;
     case Strategy::kPartialIdeal:
+      // Oracle: every peer knows whether the key is worth indexing.
       t.index_first = workload_->RankOf(key) <= oracle_max_rank_;
       break;
     case Strategy::kPartialTtl:
@@ -781,11 +608,6 @@ PdhtSystem::QueryTask PdhtSystem::MakeQueryTask(uint64_t key,
   return t;
 }
 
-void PdhtSystem::AppendQueryTask(uint64_t key) {
-  // Trace-replay planning: origin off the main stream, in entry order.
-  query_tasks_.push_back(MakeQueryTask(key, RandomOnlinePeer()));
-}
-
 /// Counting-sort planner chunk: fixed size so the chunk partition -- and
 /// with it every task offset -- is a pure function of the online count,
 /// never of the thread count.
@@ -794,28 +616,39 @@ constexpr uint32_t kPlanChunk = 8192;
 void PdhtSystem::PlanQueryTasks(sim::RoundContext& ctx) {
   const auto& p = config_.params;
   query_tasks_.clear();
+  const uint32_t online = network_->online_count();
   if (config_.trace != nullptr) {
+    // Trace replay: every entry tagged with this round, verbatim, from an
+    // origin drawn off the entry's own stream over the dense online index
+    // -- zero main-stream draws, like the Zipf planner below.
+    const uint64_t trace_seed =
+        Mix64(HashCombine(round_seed_, 0x706c7472ULL));  // "pltr"
     auto [begin, end] = config_.trace->RoundRange(ctx.round);
     for (size_t i = begin; i < end; ++i) {
       uint64_t key = config_.trace->entries()[i].key;
       if (key >= p.keys) continue;  // foreign trace entries are skipped
-      AppendQueryTask(key);
+      net::PeerId origin = net::kInvalidPeer;
+      if (online > 0) {
+        Rng rng(Mix64(HashCombine(trace_seed, i)));
+        origin = network_->OnlinePeerAt(
+            static_cast<uint32_t>(rng.UniformU64(online)));
+      }
+      query_tasks_.push_back(MakeQueryTask(key, origin));
     }
     return;
   }
-  // Counting-sort plan over the dense online index, two parallel passes:
-  // A counts each online peer's queries this round, B materializes tasks
-  // at exact offsets.  Each peer's draws come from its own streams --
-  // pure functions of (seed, round, peer) -- so the plan consumes ZERO
-  // main-stream values and is bit-identical at every thread/shard count
-  // (the legacy planner burned one main-stream draw per query on the
-  // origin alone, a serial floor at 100k+ queries/round).  Semantics
-  // shift with the stream: each online peer issues floor(rate) +
-  // Bernoulli(frac) queries where rate spreads the round's expected
-  // total (num_peers * f_qry) over the online population, and the peer
-  // itself is the query's origin -- the same aggregate mean as the old
-  // binomial count with uniformly drawn origins, realized per-peer.
-  const uint32_t online = network_->online_count();
+  // Counting-sort plan over the dense online index, two parallel passes
+  // over fixed chunks of it: A counts each online peer's queries this
+  // round, B materializes tasks at exact offsets.  Each chunk draws from
+  // its own count and key streams -- pure functions of (seed, round,
+  // chunk), consumed in index order -- so the plan consumes ZERO
+  // main-stream values and is bit-identical at every thread/shard count.
+  // (One stream per chunk rather than per peer: seeding a generator per
+  // peer made the plan phase ~40% slower on bench_perf_roundloop's
+  // scale_1_14 and scale_1_50 rows, 400-1,428 peers.)
+  // Each online peer issues floor(rate) + Bernoulli(frac) queries, where
+  // rate spreads the round's expected total (num_peers * f_qry) over the
+  // online population, and the peer itself is the query's origin.
   if (online == 0) return;  // nothing can originate a query
   const double rate =
       static_cast<double>(p.num_peers) * p.f_qry / static_cast<double>(online);
@@ -833,9 +666,9 @@ void PdhtSystem::PlanQueryTasks(sim::RoundContext& ctx) {
                           count_seed](uint32_t /*w*/, uint32_t chunk) {
     const uint32_t begin = chunk * kPlanChunk;
     const uint32_t end = std::min(online, begin + kPlanChunk);
+    Rng rng(Mix64(HashCombine(count_seed, chunk)));
     uint64_t total = 0;
     for (uint32_t i = begin; i < end; ++i) {
-      Rng rng(Mix64(HashCombine(count_seed, network_->OnlinePeerAt(i))));
       const uint32_t c = whole + (rng.Bernoulli(frac) ? 1 : 0);
       plan_counts_[i] = c;
       total += c;
@@ -853,17 +686,17 @@ void PdhtSystem::PlanQueryTasks(sim::RoundContext& ctx) {
   query_tasks_.resize(total);
   if (total == 0) return;
   // Pass B (parallel): materialize each peer's tasks at its exact slot
-  // range; keys come from the peer's key stream, in issue order.
+  // range, keys in issue order off the chunk's key stream.
   pool_->Run(num_chunks,
              [this, online, key_seed](uint32_t /*w*/, uint32_t chunk) {
                const uint32_t begin = chunk * kPlanChunk;
                const uint32_t end = std::min(online, begin + kPlanChunk);
+               Rng rng(Mix64(HashCombine(key_seed, chunk)));
                uint64_t slot = plan_chunk_bases_[chunk];
                for (uint32_t i = begin; i < end; ++i) {
                  const uint32_t c = plan_counts_[i];
                  if (c == 0) continue;
                  const net::PeerId peer = network_->OnlinePeerAt(i);
-                 Rng rng(Mix64(HashCombine(key_seed, peer)));
                  for (uint32_t q = 0; q < c; ++q) {
                    query_tasks_[slot++] =
                        MakeQueryTask(workload_->SampleKey(rng), peer);
@@ -872,33 +705,69 @@ void PdhtSystem::PlanQueryTasks(sim::RoundContext& ctx) {
              });
 }
 
-void PdhtSystem::RunShardedQueryActor(sim::RoundContext& ctx) {
-  // The planner's per-peer streams derive from the round seed, so set it
-  // before planning (task streams hang off it too, as before).
-  round_seed_ = Mix64(HashCombine(config_.seed, ctx.round));
+void PdhtSystem::SplitQueryWaves() {
+  // One pass: first sightings fill wave_order_ from the front, repeats
+  // from the back (reversed once after, restoring plan order).  Wave
+  // membership is a pure function of the plan, so it is thread-invariant.
+  if (++plan_stamp_ == 0) {  // stamp wrapped: forget every key
+    std::fill(key_stamp_.begin(), key_stamp_.end(), 0);
+    plan_stamp_ = 1;
+  }
+  const uint32_t n = static_cast<uint32_t>(query_tasks_.size());
+  wave_order_.resize(n);
+  uint32_t first = 0;
+  uint32_t repeat = n;
+  for (uint32_t q = 0; q < n; ++q) {
+    uint32_t& stamp = key_stamp_[query_tasks_[q].key];
+    if (stamp != plan_stamp_) {
+      stamp = plan_stamp_;
+      wave_order_[first++] = q;
+    } else {
+      wave_order_[--repeat] = q;
+    }
+  }
+  std::reverse(wave_order_.begin() + first, wave_order_.end());
+  wave0_size_ = first;
+}
+
+void PdhtSystem::RunQueryActor(sim::RoundContext& ctx) {
   {
     ScopedPhaseMs timer(&engine_, kPhasePlan);
     PlanQueryTasks(ctx);
+    SplitQueryWaves();
   }
-  round_queries_ = 0;
+  round_queries_ = query_tasks_.size();
   round_hits_ = 0;
   if (query_tasks_.empty()) return;
   // Warm lazily-built shared read state serially (e.g. Chord's mutable
-  // members cache) so the parallel phase only ever reads it.
+  // members cache) so the execute phase only ever reads it.
   if (overlay_) overlay_->members();
-  const size_t num_counters = engine_.counters().NumCounters();
-  for (net::ShardLane& lane : lanes_) lane.Prepare(num_counters);
   query_results_.resize(query_tasks_.size());
-  {
-    ScopedPhaseMs timer(&engine_, kPhaseQuery);
-    pool_->Run(static_cast<uint32_t>(query_tasks_.size()),
-               [this](uint32_t w, uint32_t q) { RunQueryTask(w, q); });
+  const size_t bounds[] = {0, wave0_size_, query_tasks_.size()};
+  for (size_t wave = 0; wave < 2; ++wave) {
+    if (bounds[wave] == bounds[wave + 1]) continue;
+    {
+      ScopedPhaseMs timer(&engine_, kPhaseQuery);
+      ExecuteQueryTasks(round_seed_, bounds[wave], bounds[wave + 1]);
+    }
+    ScopedPhaseMs timer(&engine_, kPhasePublish);
+    PublishQueryWave(bounds[wave], bounds[wave + 1]);
   }
   ScopedPhaseMs timer(&engine_, kPhasePublish);
-  PublishQueryResults();
+  round_hits_ = TallyQueryOrigins();
 }
 
-void PdhtSystem::RunQueryTask(uint32_t worker, uint32_t task_index) {
+void PdhtSystem::ExecuteQueryTasks(uint64_t seed, size_t begin, size_t end) {
+  const size_t num_counters = engine_.counters().NumCounters();
+  for (net::ShardLane& lane : lanes_) lane.Prepare(num_counters);
+  pool_->Run(static_cast<uint32_t>(end - begin),
+             [this, seed, begin](uint32_t w, uint32_t i) {
+               RunQueryTask(w, wave_order_[begin + i], seed);
+             });
+}
+
+void PdhtSystem::RunQueryTask(uint32_t worker, uint32_t task_index,
+                              uint64_t seed) {
   const QueryTask& t = query_tasks_[task_index];
   QueryTaskResult& r = query_results_[task_index];
   r = QueryTaskResult{};
@@ -916,45 +785,53 @@ void PdhtSystem::RunQueryTask(uint32_t worker, uint32_t task_index) {
   r.def_begin = static_cast<uint32_t>(lane.deferred.size());
   // The task's whole random behaviour hangs off this one derived stream:
   // any worker running this task draws the same values.
-  Rng rng(Mix64(HashCombine(round_seed_, task_index)));
+  Rng rng(Mix64(HashCombine(seed, task_index)));
   if (t.index_first) {
-    ShardIndexFirstQuery(rng, worker, t.origin, t.key, t.ttl_semantics, &r);
+    IndexFirstQuery(rng, worker, t.origin, t.key, t.ttl_semantics, &r);
   } else {
-    ShardUnstructuredQuery(rng, worker, t.origin, t.key, &r);
+    UnstructuredQuery(rng, worker, t.origin, t.key, &r);
   }
   r.def_end = static_cast<uint32_t>(lane.deferred.size());
   network_->EndLane();
 }
 
-void PdhtSystem::ShardUnstructuredQuery(Rng& rng, uint32_t worker,
-                                        net::PeerId origin, uint64_t key,
-                                        QueryTaskResult* r) {
+void PdhtSystem::UnstructuredQuery(Rng& rng, uint32_t worker,
+                                   net::PeerId origin, uint64_t key,
+                                   QueryTaskResult* r) {
   overlay::WalkResult wr = walk_slots_[worker]->Search(origin, key, rng);
+  r->used_unstructured = true;
   r->found = wr.found;
+  r->unstructured_messages = wr.messages;
   if (wr.found) r->unstructured_obs = static_cast<double>(wr.messages);
 }
 
-void PdhtSystem::ShardIndexFirstQuery(Rng& rng, uint32_t worker,
-                                      net::PeerId origin, uint64_t key,
-                                      bool ttl_semantics,
-                                      QueryTaskResult* r) {
+void PdhtSystem::IndexFirstQuery(Rng& rng, uint32_t worker,
+                                 net::PeerId origin, uint64_t key,
+                                 bool ttl_semantics, QueryTaskResult* r) {
   const double now = engine_.now();
   // Lane-relative brackets: the shared counters are frozen during the
   // phase, so the observed before/after deltas are this task's own
-  // traffic/latency -- same semantics as the serial brackets.
+  // traffic and serialized latency (0 under immediate delivery).
   const uint64_t before = network_->ObservedTotalMessages();
   const double lat_before = network_->ObservedLatencyS();
 
   net::PeerId entry = DhtEntryPoint(rng, origin);
   if (entry == net::kInvalidPeer) {
     // DHT unreachable (everything offline): degrade to broadcast.
-    ShardUnstructuredQuery(rng, worker, origin, key, r);
+    UnstructuredQuery(rng, worker, origin, key, r);
+    r->index_messages = network_->ObservedTotalMessages() - before -
+                        r->unstructured_messages;
     return;
   }
 
   overlay::LookupResult route = DhtLookup(entry, key);
   if (network_->deferred_delivery() &&
       route.terminus != net::kInvalidPeer) {
+    // Paired samples: measured serialized RTT of this lookup vs the
+    // direct origin->terminus round trip -- their mean ratio is the
+    // routing stretch bench_latency reports.  Timeout costing folds
+    // failed-probe waits into the same latency sum, so the bracket
+    // prices them automatically.
     r->has_rtt = true;
     r->rtt_ms = (network_->ObservedLatencyS() - lat_before) * 1e3;
     r->direct_ms = delivery_->RttMs(origin, route.terminus);
@@ -970,6 +847,9 @@ void PdhtSystem::ShardIndexFirstQuery(Rng& rng, uint32_t worker,
     holder = route.terminus;
   }
   if (holder == net::kInvalidPeer) {
+    // Terminus cannot answer: flood the replica subnetwork (Section 5.1;
+    // purging leaves replicas unsynchronized, so siblings may still hold
+    // the key).
     network_->CountOnly(net::MessageType::kReplicaFlood,
                         StatisticalReplicaFloodCost(rng));
     for (net::PeerId rep :
@@ -981,6 +861,8 @@ void PdhtSystem::ShardIndexFirstQuery(Rng& rng, uint32_t worker,
       }
     }
   }
+  r->index_messages = network_->ObservedTotalMessages() - before;
+  r->index_obs = static_cast<double>(r->index_messages);
 
   if (holder != net::kInvalidPeer) {
     if (ttl_semantics) {
@@ -990,17 +872,16 @@ void PdhtSystem::ShardIndexFirstQuery(Rng& rng, uint32_t worker,
     }
     r->found = true;
     r->answered_from_index = true;
-    r->index_obs =
-        static_cast<double>(network_->ObservedTotalMessages() - before);
     return;
   }
 
-  r->index_obs =
-      static_cast<double>(network_->ObservedTotalMessages() - before);
-  ShardUnstructuredQuery(rng, worker, origin, key, r);
+  // Miss: broadcast search, then (TTL algorithm only) insert the result.
+  UnstructuredQuery(rng, worker, origin, key, r);
   if (ttl_semantics && r->found) {
-    // Miss-then-found re-insertion: route + statistical flood now (wire
-    // cost belongs to this task), replica Puts at publish.
+    // Miss-then-found re-insertion: route to the responsible region
+    // (cSIndx) + statistical replica flood (repl * dup2) now -- the wire
+    // cost belongs to this task -- and the replica Puts at publish.
+    const uint64_t before_insert = network_->ObservedTotalMessages();
     net::PeerId insert_entry = DhtEntryPoint(rng, net::kInvalidPeer);
     if (insert_entry != net::kInvalidPeer) {
       DhtLookup(insert_entry, key);
@@ -1008,15 +889,15 @@ void PdhtSystem::ShardIndexFirstQuery(Rng& rng, uint32_t worker,
                           StatisticalReplicaFloodCost(rng));
       r->has_insert = true;
     }
+    r->index_messages += network_->ObservedTotalMessages() - before_insert;
   }
 }
 
 void PdhtSystem::MergeLaneCounters() {
   // Integer adds commute, so lane-major merge order is immaterial (and
-  // cheap -- one flat vector add per lane).  The audit knob merges in
-  // reverse to prove the claim stays true (the determinism suite pins
-  // shuffled-vs-default snapshots bit for bit).
-  if (config_.debug_shuffle_publish) {
+  // cheap -- one flat vector add per lane).  The shuffle test hook merges
+  // in reverse to prove the claim stays true.
+  if (shuffle_publish_) {
     for (auto it = lanes_.rbegin(); it != lanes_.rend(); ++it) {
       engine_.counters().MergeDelta(it->counter_delta);
     }
@@ -1027,26 +908,25 @@ void PdhtSystem::MergeLaneCounters() {
   }
 }
 
-void PdhtSystem::PublishQueryResults() {
+void PdhtSystem::PublishQueryWave(size_t begin, size_t end) {
   const double now = engine_.now();
-  // Commutative slice 1: lane counter deltas (order-free).
+  // Commutative slice: lane counter deltas (order-free).
   MergeLaneCounters();
-  // Ordered slice: everything below is genuinely order-sensitive under
-  // the bit-identity contract -- CommitDeferred feeds floating-point
-  // latency sums, capped/P^2 histograms and event scheduling; the
-  // autotuner EWMAs and the Touch/Put index mutations see state the
-  // previous task may have moved -- so it replays serially in global
-  // task order, exactly as a serial engine would interleave it.
-  for (size_t q = 0; q < query_tasks_.size(); ++q) {
+  // Ordered slice: everything below is order-sensitive under the
+  // bit-identity contract -- CommitDeferred feeds floating-point latency
+  // sums, P^2 histograms and event scheduling; the autotuner EWMAs and
+  // the Touch/Put index mutations see state the previous task may have
+  // moved -- so it replays serially in the wave's task order.
+  for (size_t i = begin; i < end; ++i) {
+    const uint32_t q = wave_order_[i];
     const QueryTask& t = query_tasks_[q];
     const QueryTaskResult& r = query_results_[q];
-    // (1) Order-sensitive network effects (fp latency sums, capped
-    //     histograms, event scheduling) replay in task order.
-    for (uint32_t i = r.def_begin; i < r.def_end; ++i) {
-      network_->CommitDeferred(lanes_[r.lane].deferred[i]);
+    // (1) Order-sensitive network effects.
+    for (uint32_t d = r.def_begin; d < r.def_end; ++d) {
+      network_->CommitDeferred(lanes_[r.lane].deferred[d]);
     }
-    // (2) Autotuner observations, index before unstructured (the serial
-    //     per-query order).
+    // (2) Autotuner observations, index before unstructured (the order a
+    //     query produces them).
     if (r.index_obs >= 0.0) autotuner_.ObserveIndexSearch(r.index_obs);
     if (r.unstructured_obs >= 0.0) {
       autotuner_.ObserveUnstructuredSearch(r.unstructured_obs);
@@ -1059,14 +939,13 @@ void PdhtSystem::PublishQueryResults() {
     if (r.has_insert) {
       const double ttl = EffectiveKeyTtl();
       for (net::PeerId rep : IndexReplicasOf(t.key)) {
-        if (!network_->IsOnline(rep)) continue;
+        if (!network_->IsOnline(rep)) continue;  // offline replicas pull later
         uint64_t displaced = nodes_[rep].index().Put(t.key, now, ttl);
         if (displaced != TtlIndex::kNoKey) DecResidency(displaced);
         IncResidency(t.key);
       }
     }
-    // (4) Latency samples (capped histograms subsample deterministically
-    //     in arrival order).
+    // (4) Latency samples (P^2 sketches are order-sensitive).
     if (r.has_rtt) {
       lookup_rtt_ms_.Add(r.rtt_ms);
       lookup_direct_ms_.Add(r.direct_ms);
@@ -1076,53 +955,53 @@ void PdhtSystem::PublishQueryResults() {
       }
     }
   }
-  // Commutative slice 2 (parallel): per-origin stats and the round's
-  // hit-rate tally.  RecordQuery is integer increments on the origin's
-  // node, so partitioning tasks by origin shard -- a pure function of
-  // the origin id -- gives every shard task a disjoint node set, and the
-  // per-shard query/hit partials sum serially after the barrier.  Scan
-  // order within a shard is task order, though nothing here needs it.
-  publish_queries_.assign(num_shards_, 0);
-  publish_hits_.assign(num_shards_, 0);
-  const bool shuffle = config_.debug_shuffle_publish;
-  pool_->Run(num_shards_, [this, shuffle](uint32_t /*w*/, uint32_t s) {
-    // Audit knob: visit shards in reversed index order (shard s processes
-    // partition num_shards-1-s).  The partition itself is unchanged, so
-    // results must be bit-identical.
-    const uint32_t shard = shuffle ? num_shards_ - 1 - s : s;
-    uint64_t queries = 0;
-    uint64_t hits = 0;
-    for (size_t q = 0; q < query_tasks_.size(); ++q) {
-      const net::PeerId origin = query_tasks_[q].origin;
-      const uint32_t home =
-          origin == net::kInvalidPeer
-              ? 0
-              : static_cast<uint32_t>(Mix64(origin) % num_shards_);
-      if (home != shard) continue;
-      const bool hit = query_results_[q].answered_from_index;
-      if (origin != net::kInvalidPeer) {
-        nodes_[origin].RecordQuery(hit);
-      }
-      ++queries;
-      if (hit) ++hits;
-    }
-    publish_queries_[shard] = queries;
-    publish_hits_[shard] = hits;
-  });
-  for (uint32_t s = 0; s < num_shards_; ++s) {
-    round_queries_ += publish_queries_[s];
-    round_hits_ += publish_hits_[s];
-  }
 }
 
-void PdhtSystem::RunMaintenanceActor(sim::RoundContext& ctx) {
-  if (config_.strategy == Strategy::kNoIndex || !overlay_) return;
-  ScopedPhaseMs timer(&engine_, kPhaseMaint);
-  if (sharded_ && overlay_->has_sharded_maintenance()) {
-    RunShardedMaintenance(ctx);
-  } else {
-    overlay_->RunMaintenanceRound(config_.params.env);
+uint64_t PdhtSystem::TallyQueryOrigins() {
+  // Commutative slice: RecordQuery is integer increments on the origin's
+  // node, so bucketing tasks by origin shard -- a pure function of the
+  // origin id -- gives every shard task a disjoint node set.  One counting
+  // sort buckets the task indices (plan order within a bucket); the shard
+  // passes run in parallel and their hit partials sum after the barrier.
+  auto home = [this](net::PeerId origin) {
+    return origin == net::kInvalidPeer ? 0u : HomeShard(origin);
+  };
+  tally_offsets_.assign(num_shards_ + 1, 0);
+  for (const QueryTask& t : query_tasks_) ++tally_offsets_[home(t.origin) + 1];
+  for (uint32_t s = 1; s <= num_shards_; ++s) {
+    tally_offsets_[s] += tally_offsets_[s - 1];
   }
+  // Scatter with tally_offsets_[s] as bucket s's cursor: afterwards it
+  // holds bucket s's end, so bucket s spans [offsets[s-1], offsets[s]).
+  tally_order_.resize(query_tasks_.size());
+  for (uint32_t q = 0; q < query_tasks_.size(); ++q) {
+    tally_order_[tally_offsets_[home(query_tasks_[q].origin)]++] = q;
+  }
+  tally_hits_.assign(num_shards_, 0);
+  pool_->Run(num_shards_, [this](uint32_t /*w*/, uint32_t s) {
+    // Test hook: visit shards in reversed index order.  The partition is
+    // unchanged, so results must be bit-identical.
+    const uint32_t shard = shuffle_publish_ ? num_shards_ - 1 - s : s;
+    uint64_t hits = 0;
+    for (uint32_t i = shard == 0 ? 0 : tally_offsets_[shard - 1];
+         i < tally_offsets_[shard]; ++i) {
+      const uint32_t q = tally_order_[i];
+      const bool hit = query_results_[q].answered_from_index;
+      const net::PeerId origin = query_tasks_[q].origin;
+      if (origin != net::kInvalidPeer) nodes_[origin].RecordQuery(hit);
+      if (hit) ++hits;
+    }
+    tally_hits_[shard] = hits;
+  });
+  uint64_t hits = 0;
+  for (uint64_t h : tally_hits_) hits += h;
+  return hits;
+}
+
+void PdhtSystem::RunMaintenanceActor(sim::RoundContext& /*ctx*/) {
+  if (!overlay_) return;
+  ScopedPhaseMs timer(&engine_, kPhaseMaint);
+  RunMaintenanceTasks();
   // Feed the TTL autotuner the round's maintenance traffic: probes per
   // round per currently indexed key approximate cRtn (Eq. 8).
   uint64_t probes = engine_.counters().Value(probe_counter_id_);
@@ -1132,32 +1011,34 @@ void PdhtSystem::RunMaintenanceActor(sim::RoundContext& ctx) {
       static_cast<double>(delta), static_cast<double>(residency_.size()));
 }
 
-void PdhtSystem::RunShardedMaintenance(sim::RoundContext& ctx) {
-  // PLAN (serial): the overlay consumes its fractional budget map in
+void PdhtSystem::RunMaintenanceTasks() {
+  // PLAN (serial): the overlay consumes its fractional budgets in
   // canonical member order and freezes the round's task list -- one
   // deterministic (member, probe-count) sequence no matter how many
   // threads run the phase.
   const uint32_t num_tasks =
       overlay_->PlanMaintenanceRound(config_.params.env);
   if (num_tasks == 0) return;
-  round_seed_ = Mix64(HashCombine(config_.seed, ctx.round));
   const uint64_t maint_seed =
       Mix64(HashCombine(round_seed_, 0x6d61696e74ULL));  // "maint"
   const size_t num_counters = engine_.counters().NumCounters();
   for (net::ShardLane& lane : lanes_) lane.Prepare(num_counters);
-  maint_slices_.resize(num_tasks);
   // EXECUTE (parallel): each task probes/repairs exactly one member's
-  // own routing table against the frozen membership snapshot, counts
-  // into its worker's lane, and draws from its own derived stream.
-  pool_->Run(num_tasks, [this, maint_seed](uint32_t w, uint32_t task) {
+  // own routing table against the frozen membership snapshot and counts
+  // into its worker's lane.  The pool claims the overlay's fixed task
+  // chunks -- one lane binding and one deferred slice per chunk; chunks
+  // replay in index order, which is task order.
+  const uint32_t chunk = overlay::StructuredOverlay::kMaintenanceChunk;
+  const uint32_t num_chunks = (num_tasks + chunk - 1) / chunk;
+  maint_slices_.resize(num_chunks);
+  pool_->Run(num_chunks, [this, maint_seed, num_tasks](uint32_t w,
+                                                       uint32_t c) {
     net::ShardLane& lane = lanes_[w];
-    lane.latency_s = 0.0;
     network_->BeginLane(&lane);
-    PhaseSlice& s = maint_slices_[task];
+    PhaseSlice& s = maint_slices_[c];
     s.lane = w;
     s.def_begin = static_cast<uint32_t>(lane.deferred.size());
-    Rng rng(Mix64(HashCombine(maint_seed, task)));
-    overlay_->ExecuteMaintenanceTask(task, rng);
+    overlay_->ExecuteMaintenanceChunk(maint_seed, c, num_tasks);
     s.def_end = static_cast<uint32_t>(lane.deferred.size());
     network_->EndLane();
   });
@@ -1173,7 +1054,7 @@ void PdhtSystem::RunShardedMaintenance(sim::RoundContext& ctx) {
   overlay_->FinishMaintenanceRound();
 }
 
-void PdhtSystem::RunUpdateActor(sim::RoundContext& ctx) {
+void PdhtSystem::RunUpdateActor(sim::RoundContext& /*ctx*/) {
   // Proactive updates exist only while the index is proactively maintained
   // (Section 5.1 removes cUpd: the TTL algorithm refreshes values on
   // miss-triggered re-insertion).
@@ -1188,38 +1069,7 @@ void PdhtSystem::RunUpdateActor(sim::RoundContext& ctx) {
   if (indexed_keys == 0) return;
   ScopedPhaseMs timer(&engine_, kPhaseUpdate);
   update_carry_ += static_cast<double>(indexed_keys) * p.f_upd;
-  if (sharded_) {
-    RunShardedUpdateActor(ctx, indexed_keys);
-    return;
-  }
-  constexpr double kForever = 1e15;
-  while (update_carry_ >= 1.0) {
-    update_carry_ -= 1.0;
-    uint64_t rank = 1 + rng_.UniformU64(indexed_keys);
-    uint64_t key = config_.strategy == Strategy::kIndexAll
-                       ? rank - 1
-                       : workload_->KeyAtRank(rank);
-    // Insert at one responsible peer (cSIndx) + gossip to replicas
-    // (repl * dup2): exactly Eq. 9's per-update cost.
-    net::PeerId entry = DhtEntryPoint(rng_, net::kInvalidPeer);
-    if (entry == net::kInvalidPeer) continue;
-    DhtLookup(entry, key);
-    network_->CountOnly(net::MessageType::kReplicaPush,
-                        StatisticalReplicaFloodCost(rng_));
-    for (net::PeerId rep : IndexReplicasOf(key)) {
-      if (!network_->IsOnline(rep)) continue;
-      uint64_t displaced =
-          nodes_[rep].index().Put(key, engine_.now(), kForever);
-      if (displaced != TtlIndex::kNoKey) DecResidency(displaced);
-      IncResidency(key);
-    }
-  }
-}
-
-void PdhtSystem::RunShardedUpdateActor(sim::RoundContext& ctx,
-                                       uint64_t indexed_keys) {
-  // PLAN (serial): rank draws come off the main stream in carry order --
-  // the same one-draw-per-update sequence the serial loop consumes.
+  // PLAN (serial): rank draws come off the main stream in carry order.
   update_tasks_.clear();
   while (update_carry_ >= 1.0) {
     update_carry_ -= 1.0;
@@ -1230,15 +1080,15 @@ void PdhtSystem::RunShardedUpdateActor(sim::RoundContext& ctx,
   }
   if (update_tasks_.empty()) return;
   if (overlay_) overlay_->members();  // warm shared read caches serially
-  round_seed_ = Mix64(HashCombine(config_.seed, ctx.round));
   const uint64_t upd_seed =
       Mix64(HashCombine(round_seed_, 0x75706474ULL));  // "updt"
   const size_t num_counters = engine_.counters().NumCounters();
   for (net::ShardLane& lane : lanes_) lane.Prepare(num_counters);
   update_results_.resize(update_tasks_.size());
-  // EXECUTE (parallel): entry-point selection, insert routing and the
-  // statistical replica-flood costing per task (wire cost belongs to the
-  // task); index mutations wait for publish.
+  // EXECUTE (parallel): insert at one responsible peer (cSIndx) + the
+  // statistical gossip to replicas (repl * dup2) -- exactly Eq. 9's
+  // per-update cost, which belongs to the task; index mutations wait for
+  // publish.
   pool_->Run(
       static_cast<uint32_t>(update_tasks_.size()),
       [this, upd_seed](uint32_t w, uint32_t task) {
@@ -1285,13 +1135,6 @@ void PdhtSystem::RunShardedUpdateActor(sim::RoundContext& ctx,
 void PdhtSystem::RunEvictionActor(sim::RoundContext& ctx) {
   if (config_.strategy != Strategy::kPartialTtl) return;
   ScopedPhaseMs timer(&engine_, kPhaseEvict);
-  if (!sharded_) {
-    for (net::PeerId m : dht_members_) {
-      nodes_[m].index().EvictExpired(
-          ctx.time, [this](uint64_t key) { DecResidency(key); });
-    }
-    return;
-  }
   // Shard-parallel sweep: each shard owns a disjoint member set (pure
   // function of peer id), evicted keys land in per-shard buffers, and
   // residency decrements -- commutative integer ops over an unordered
@@ -1329,26 +1172,21 @@ void PdhtSystem::ApplyScenarioTransitions(uint64_t round) {
 
 void PdhtSystem::RunChurnActor(sim::RoundContext& ctx) {
   ScopedPhaseMs timer(&engine_, kPhaseChurn);
-  if (!sharded_ || !overlay_ || !overlay_->has_sharded_rejoin()) {
-    ApplyScenarioTransitions(ctx.round);
-    churn_->AdvanceTo(ctx.time);
-    return;
-  }
+  // Churn is the first actor: every later phase's streams hang off this
+  // round seed.
+  round_seed_ = Mix64(HashCombine(config_.seed, ctx.round));
   // Flip events apply serially in event order (the dense online index
   // and the replica-pull accounting are order-sensitive); the expensive
-  // part -- rebuilding a rejoined member's routing table -- is deferred
-  // by OnChurnFlip, deduped, and rebuilt in parallel below, one task per
+  // part -- rebuilding a rejoined member's routing table -- is queued by
+  // OnChurnFlip, deduped, and rebuilt in parallel below, one task per
   // distinct member writing only its own table.  Rebuilds are pure
   // functions of (membership, rng) -- they never read online state -- so
   // running them after the round's remaining flips changes nothing.
+  // Scenario heals fire the same observers, so a healed cluster's members
+  // rebuild through the same path.
   rejoin_queue_.clear();
-  defer_rejoins_ = true;
-  // Scenario heals fire the rejoin observers inside the deferral window
-  // so a healed cluster's members rebuild through the same deduped
-  // parallel path as ordinary rejoins.
   ApplyScenarioTransitions(ctx.round);
   churn_->AdvanceTo(ctx.time);
-  defer_rejoins_ = false;
   if (rejoin_queue_.empty()) return;
   // Dedup is mandatory, not an optimization: a member that flipped
   // online twice in one round must rebuild exactly once (two tasks would
@@ -1359,8 +1197,7 @@ void PdhtSystem::RunChurnActor(sim::RoundContext& ctx) {
       std::unique(rejoin_queue_.begin(), rejoin_queue_.end()),
       rejoin_queue_.end());
   const uint64_t churn_seed =
-      Mix64(HashCombine(Mix64(HashCombine(config_.seed, ctx.round)),
-                        0x6368726eULL));  // "chrn"
+      Mix64(HashCombine(round_seed_, 0x6368726eULL));  // "chrn"
   // No lanes: table rebuilds send no messages and touch no counters.
   pool_->Run(static_cast<uint32_t>(rejoin_queue_.size()),
              [this, churn_seed](uint32_t /*worker*/, uint32_t task) {
@@ -1377,15 +1214,10 @@ void PdhtSystem::OnChurnFlip(net::PeerId peer, bool online) {
   network_->SetOnline(peer, online);
   if (!online) return;
   if (!nodes_[peer].is_dht_member()) return;
-  // Rejoin: refresh routing state (piggybacked, free) and pull missed
-  // replica updates (one pull + one response).
-  if (overlay_) {
-    if (defer_rejoins_) {
-      rejoin_queue_.push_back(peer);
-    } else {
-      overlay_->OnPeerRejoin(peer);
-    }
-  }
+  // Rejoin: refresh routing state (piggybacked, free; queued for the
+  // churn actor's parallel rebuild) and pull missed replica updates (one
+  // pull + one response).
+  if (overlay_) rejoin_queue_.push_back(peer);
   network_->CountOnly(net::MessageType::kReplicaPull, 2);
 }
 

@@ -48,6 +48,7 @@
 #include "sim/round_engine.h"
 #include "sim/scenario.h"
 #include "sim/shard_pool.h"
+#include "util/hash.h"
 
 namespace pdht::core {
 
@@ -153,33 +154,17 @@ struct SystemConfig {
   /// transit-stub domain).
   sim::ScenarioConfig scenario;
 
-  /// Worker threads for the parallel phases of the round loop (queries,
-  /// eviction).  sim_threads <= 1 with sim_shards == 0 runs the legacy
-  /// serial engine, bit-identical to the seed era.  Any other setting
-  /// enables the *sharded* engine, whose results are bit-identical across
-  /// every (sim_threads, sim_shards) combination -- parallelism changes
-  /// wall-clock only -- but form a different (equally valid) random
-  /// stream than the serial engine's: query effects publish at a phase
-  /// barrier instead of interleaving, and each query draws from its own
-  /// derived Rng.  See docs/architecture.md, "Sharded round engine".
+  /// Worker threads for the round engine's parallel phases.  Results are
+  /// bit-identical at every (sim_threads, sim_shards) combination --
+  /// parallelism changes wall-clock only.  1 (the default) runs every
+  /// phase inline on the caller with no worker threads.  See
+  /// docs/architecture.md, "Round engine".
   uint32_t sim_threads = 1;
-  /// Peer shards for the shard-partitioned phases (eviction).  Shard
-  /// assignment is a pure function of peer id and shard count, so
-  /// results never depend on which thread runs a shard; they do not
-  /// depend on the shard count either (shard merges commute).  0 = auto
-  /// (4 * sim_threads when the sharded engine is enabled).
+  /// Peer shards for the shard-partitioned phases (eviction, the
+  /// per-origin publish pass, the boundary drain).  Shard assignment is a
+  /// pure function of peer id and shard count, and shard merges commute,
+  /// so results never depend on it.  0 = auto (4 * sim_threads).
   uint32_t sim_shards = 0;
-
-  /// Automatic engine selection: ignore sim_threads and choose serial vs
-  /// sharded from the configuration's expected per-round work, sizing
-  /// the worker pool from the host when the sharded engine wins.  The
-  /// serial/sharded decision is a pure function of the config -- the two
-  /// engines are distinct random streams, so a machine-dependent choice
-  /// would break reproducibility -- while the thread count itself may be
-  /// hardware-derived because sharded results are bit-identical at any
-  /// thread count.  Small scenarios therefore never pay the pool's
-  /// barrier overhead; big ones scale without per-scenario tuning.
-  bool sim_threads_auto = false;
 
   /// Record per-phase wall-clock series round.phase.{churn,maint,plan,
   /// query,publish,update,evict,drain}.ms (sim/round_engine.h; "drain"
@@ -188,15 +173,6 @@ struct SystemConfig {
   /// forfeits run-to-run bit-identity of the recorded series (the
   /// determinism and golden suites run with it off).
   bool phase_timing = false;
-
-  /// Determinism-audit knob: publish commutative slices in a deliberately
-  /// perturbed order -- lane counter deltas merge last-to-first and the
-  /// parallel per-origin stats pass visits shards in reversed index
-  /// order.  Every perturbed operation commutes by construction, so all
-  /// results must be bit-identical to the default order; the sharded
-  /// determinism suite asserts exactly that.  Never affects the serial
-  /// engine.
-  bool debug_shuffle_publish = false;
 
   /// Returns an empty string when the configuration is self-consistent.
   std::string Validate() const;
@@ -244,8 +220,16 @@ class PdhtSystem {
   void RunRounds(uint64_t n);
 
   /// Executes one query for `key` from a random online origin immediately
-  /// (outside the round loop); used by tests.
+  /// (outside the round loop) as a one-task plan on the round engine's
+  /// execute/publish path; used by tests, probes and the app layer.
   QueryOutcome ExecuteQuery(uint64_t key);
+
+  /// Determinism-audit hook for tests: publish the commutative slices in
+  /// a deliberately perturbed order (lane counter deltas merge
+  /// last-to-first, the per-origin tally visits shards in reverse).
+  /// Every perturbed operation commutes, so results must stay
+  /// bit-identical; the determinism suite asserts exactly that.
+  void SetShufflePublishForTesting(bool on) { shuffle_publish_ = on; }
 
   /// Workload control for adaptivity experiments.
   void ShiftPopularity();
@@ -367,12 +351,6 @@ class PdhtSystem {
   void PreloadIndex();
   void RegisterActors();
 
-  // Query path pieces.  The pieces shared between the serial and sharded
-  // engines take an explicit Rng so a parallel query task can route its
-  // randomness through its own derived stream (serial callers pass rng_).
-  QueryOutcome RunIndexFirstQuery(net::PeerId origin, uint64_t key,
-                                  bool ttl_semantics);
-  QueryOutcome RunUnstructuredQuery(net::PeerId origin, uint64_t key);
   overlay::LookupResult DhtLookup(net::PeerId origin, uint64_t key);
   /// The key's index replica group, written into a reused scratch buffer
   /// (valid until the next IndexReplicasOf call; callers iterate it
@@ -385,7 +363,6 @@ class PdhtSystem {
   /// scratch so they never share replica_scratch_).
   const std::vector<net::PeerId>& IndexReplicasInto(
       uint64_t key, std::vector<net::PeerId>* out) const;
-  void InsertIntoIndex(uint64_t key, double now, double ttl);
   uint64_t StatisticalReplicaFloodCost(Rng& rng);
   net::PeerId RandomOnlinePeer();
   net::PeerId DhtEntryPoint(Rng& rng, net::PeerId origin);
@@ -403,12 +380,11 @@ class PdhtSystem {
   void IncResidency(uint64_t key);
   void DecResidency(uint64_t key);
 
-  // --- Sharded round engine (see docs/architecture.md) ------------------
+  // --- Round engine (see docs/architecture.md) --------------------------
 
-  /// One planned query of the round: everything the serial planning pass
-  /// decided (from the main Rng/workload streams) before the parallel
-  /// phase starts, so the task body is a pure function of (task, round
-  /// snapshot, derived task Rng).
+  /// One planned query of the round: everything planning decided before
+  /// the execute phase starts, so the task body is a pure function of
+  /// (task, index snapshot, derived task Rng).
   struct QueryTask {
     uint64_t key = 0;
     net::PeerId origin = net::kInvalidPeer;
@@ -416,19 +392,23 @@ class PdhtSystem {
     bool ttl_semantics = false;  ///< kPartialTtl touch/insert semantics
   };
 
-  /// Buffered effects of one parallel query task, applied serially in
-  /// global task order by PublishQueryResults -- the order-sensitive
-  /// complement of the order-free counter-delta merge.
+  /// Buffered effects of one query task, applied serially in task order
+  /// by PublishQueryWave -- the order-sensitive complement of the
+  /// order-free counter-delta merge -- plus the QueryOutcome fields
+  /// ExecuteQuery reports.
   struct QueryTaskResult {
     uint32_t lane = 0;       ///< worker lane the task recorded into
     uint32_t def_begin = 0;  ///< slice of lanes_[lane].deferred
     uint32_t def_end = 0;
     bool found = false;
     bool answered_from_index = false;
+    bool used_unstructured = false;
     bool has_touch = false;   ///< hit under TTL semantics: Touch at publish
     bool has_insert = false;  ///< miss-then-found: replica Puts at publish
     bool has_rtt = false;     ///< bracketed RTT samples below are valid
     net::PeerId touch_holder = net::kInvalidPeer;
+    uint64_t index_messages = 0;  ///< DHT + replica traffic of this query
+    uint64_t unstructured_messages = 0;
     double index_obs = -1.0;  ///< ObserveIndexSearch arg; < 0 = none
     double unstructured_obs = -1.0;
     double rtt_ms = 0.0;
@@ -447,8 +427,8 @@ class PdhtSystem {
     uint32_t def_end = 0;
   };
 
-  /// Buffered effects of one parallel proactive-update task.  The rank
-  /// draw happens at planning (main stream); the task runs entry-point
+  /// Buffered effects of one proactive-update task.  The rank draw
+  /// happens at planning (main stream); the task runs entry-point
   /// selection + lookup + statistical flood costing; publish replays the
   /// deferred slice and applies the replica Puts in task order.
   struct UpdateTaskResult {
@@ -456,27 +436,40 @@ class PdhtSystem {
     bool inserted = false;  ///< entry point found: replica Puts at publish
   };
 
-  void SetupShardedEngine();
-  void RunShardedQueryActor(sim::RoundContext& ctx);
+  void SetupEngine();
+  /// The shard that owns `peer` in every shard-partitioned phase: a pure
+  /// function of the peer id and the shard count.
+  uint32_t HomeShard(net::PeerId peer) const {
+    return static_cast<uint32_t>(Mix64(peer) % num_shards_);
+  }
   void PlanQueryTasks(sim::RoundContext& ctx);
+  /// Orders wave_order_ as wave 0 (the first task of each key, in plan
+  /// order) followed by wave 1 (every repeat, in plan order).
+  void SplitQueryWaves();
   /// Strategy dispatch for one planned query (pure function of config +
   /// the workload permutation; safe from parallel planning passes).
   QueryTask MakeQueryTask(uint64_t key, net::PeerId origin) const;
-  void AppendQueryTask(uint64_t key);
-  void RunQueryTask(uint32_t worker, uint32_t task_index);
+  /// Executes tasks wave_order_[begin, end) on the pool, each drawing
+  /// from Rng(Mix64(HashCombine(seed, task_index))).
+  void ExecuteQueryTasks(uint64_t seed, size_t begin, size_t end);
+  void RunQueryTask(uint32_t worker, uint32_t task_index, uint64_t seed);
   /// Merges every lane's counter delta into the shared registry (order-
-  /// free integer adds; debug_shuffle_publish reverses the lane order to
-  /// prove it).  Shared by the query/maintenance/update publish steps and
-  /// the partitioned boundary drain.
+  /// free integer adds; the shuffle test hook reverses the lane order to
+  /// prove it).  Shared by every publish step and the partitioned
+  /// boundary drain.
   void MergeLaneCounters();
-  void PublishQueryResults();
-  void ShardIndexFirstQuery(Rng& rng, uint32_t worker, net::PeerId origin,
-                            uint64_t key, bool ttl_semantics,
-                            QueryTaskResult* r);
-  void ShardUnstructuredQuery(Rng& rng, uint32_t worker, net::PeerId origin,
-                              uint64_t key, QueryTaskResult* r);
-  void RunShardedMaintenance(sim::RoundContext& ctx);
-  void RunShardedUpdateActor(sim::RoundContext& ctx, uint64_t indexed_keys);
+  /// Publishes tasks wave_order_[begin, end): lane counters, then each
+  /// task's order-sensitive effects in that order.
+  void PublishQueryWave(size_t begin, size_t end);
+  /// Per-origin RecordQuery for every task (shard-parallel, commutative);
+  /// returns how many were answered from the index.
+  uint64_t TallyQueryOrigins();
+  void IndexFirstQuery(Rng& rng, uint32_t worker, net::PeerId origin,
+                       uint64_t key, bool ttl_semantics, QueryTaskResult* r);
+  void UnstructuredQuery(Rng& rng, uint32_t worker, net::PeerId origin,
+                         uint64_t key, QueryTaskResult* r);
+  /// Plan/execute/publish of one maintenance round on the pool.
+  void RunMaintenanceTasks();
 
   SystemConfig config_;
   // Derived settings.
@@ -495,7 +488,6 @@ class PdhtSystem {
   std::unique_ptr<sim::ChurnModel> churn_;
   std::unique_ptr<overlay::RandomGraph> graph_;
   std::unique_ptr<overlay::ReplicaPlacement> content_;
-  std::unique_ptr<overlay::RandomWalkSearch> walk_;
   /// The one structured overlay backing the index (null iff the strategy
   /// runs without a DHT); every backend dispatch goes through it.
   std::unique_ptr<overlay::StructuredOverlay> overlay_;
@@ -548,13 +540,14 @@ class PdhtSystem {
   std::vector<net::PeerId> outage_peers_;
   bool outage_active_ = false;
 
-  // Sharded-engine state (empty/unused when the legacy serial engine is
-  // active).  Lanes, walk searchers and replica scratch are per *worker*
-  // (disjoint while a phase runs); shard member lists and eviction
-  // buffers are per *shard* (each shard claimed by exactly one task).
-  bool sharded_ = false;
+  // Round-engine state.  Lanes, walk searchers and replica scratch are per
+  // *worker* (disjoint while a phase runs); shard member lists, eviction
+  // buffers and tally partials are per *shard* (each shard claimed by
+  // exactly one task).
   uint32_t num_shards_ = 0;
   uint64_t round_seed_ = 0;  ///< Mix64(HashCombine(seed, round))
+  uint64_t adhoc_queries_ = 0;  ///< ExecuteQuery calls so far (task seeds)
+  bool shuffle_publish_ = false;  ///< SetShufflePublishForTesting
   std::unique_ptr<sim::ShardPool> pool_;
   std::vector<net::ShardLane> lanes_;
   std::vector<std::unique_ptr<overlay::RandomWalkSearch>> walk_slots_;
@@ -563,23 +556,29 @@ class PdhtSystem {
   std::vector<std::vector<uint64_t>> evict_buffers_;
   std::vector<QueryTask> query_tasks_;
   std::vector<QueryTaskResult> query_results_;
+  /// Execution order of the round's query tasks: wave 0 (first task of
+  /// each key) in [0, wave0_size_), wave 1 (repeats) after it.
+  std::vector<uint32_t> wave_order_;
+  size_t wave0_size_ = 0;
+  /// key -> stamp of the last plan that saw it (SplitQueryWaves).
+  std::vector<uint32_t> key_stamp_;
+  uint32_t plan_stamp_ = 0;
   /// Counting-sort planner scratch (PlanQueryTasks): per-online-peer
-  /// query counts, per-chunk task-offset bases (exclusive prefix sums of
-  /// chunk totals), and per-shard partial tallies of the parallel
-  /// publish's per-origin stats pass.
+  /// query counts and per-chunk task-offset bases (exclusive prefix sums
+  /// of chunk totals).
   std::vector<uint32_t> plan_counts_;
   std::vector<uint64_t> plan_chunk_bases_;
-  std::vector<uint64_t> publish_queries_;
-  std::vector<uint64_t> publish_hits_;
-  /// Sharded-maintenance / sharded-update round state (resized per
-  /// round, reused across rounds).
+  /// Per-origin tally scratch (TallyQueryOrigins): task indices bucketed
+  /// by origin shard (counting sort), bucket offsets, per-shard hits.
+  std::vector<uint32_t> tally_order_;
+  std::vector<uint32_t> tally_offsets_;
+  std::vector<uint64_t> tally_hits_;
+  /// Maintenance / update round state (resized per round, reused).
   std::vector<PhaseSlice> maint_slices_;
   std::vector<uint64_t> update_tasks_;  // planned update keys, in draw order
   std::vector<UpdateTaskResult> update_results_;
-  /// Churn-phase rejoin deferral: while the sharded churn actor drains
-  /// flip events, OnChurnFlip queues member rejoins here instead of
-  /// rebuilding inline; the actor dedupes and rebuilds them in parallel.
-  bool defer_rejoins_ = false;
+  /// Member rejoins queued by OnChurnFlip while the churn actor drains
+  /// flip events; the actor dedupes and rebuilds them in parallel.
   std::vector<net::PeerId> rejoin_queue_;
 
   /// Phase indices for EnablePhaseTiming/AddPhaseMs; must match the name

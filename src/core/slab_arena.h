@@ -9,7 +9,7 @@
 // storage is released in one sweep when the arena (i.e. the owning
 // system) dies.
 //
-// Single-threaded by design: the sharded round engine only mutates index
+// Single-threaded by design: the round engine only mutates index
 // storage in serial phases (publish/merge), so the arena needs no locks.
 
 #ifndef PDHT_CORE_SLAB_ARENA_H_

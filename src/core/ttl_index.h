@@ -20,7 +20,7 @@
 // allocator overhead, unlike the former unordered_map/priority_queue
 // storage.  Lookups (Contains) are const and touch only the table, so
 // concurrent readers are safe while no writer runs -- which is exactly
-// the sharded round engine's phase discipline.
+// the round engine's phase discipline.
 //
 // Complexity: Put/Touch/Contains expected O(1) table work plus O(log n)
 // heap maintenance; EvictExpired amortized O(k log n) for k evictions via

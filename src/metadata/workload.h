@@ -30,7 +30,7 @@ class QueryWorkload {
   /// Samples the key of one query from a caller-provided stream.  Const:
   /// reads only the precomputed sampler tables and the current
   /// permutation, so concurrent calls with distinct Rngs are race-free
-  /// (the sharded planner's per-peer key streams rely on this).
+  /// (the round engine planner's per-peer key streams rely on this).
   uint64_t SampleKey(Rng& rng) const;
 
   /// Samples the number of queries in a round given `num_peers` peers each

@@ -35,6 +35,7 @@
 #define PDHT_NET_NETWORK_H_
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -56,7 +57,7 @@ class MessageHandler {
   virtual void HandleMessage(const Message& msg) = 0;
 };
 
-/// Per-shard accounting lane for the sharded round engine.
+/// Per-shard accounting lane for the round engine.
 ///
 /// While a lane is bound to the calling thread (Network::BeginLane), Send/
 /// CountOnly/ChargeProbeTimeout stop touching the shared CounterRegistry,
@@ -117,7 +118,7 @@ class Network {
   /// a dense index maintained where the online bit flips (swap-remove on
   /// departure), so uniform draws over online peers are O(1) instead of
   /// rejection sampling over the id space -- which degrades badly at low
-  /// online fractions and is hostile to sharded phases.  The ordering is
+  /// online fractions and is hostile to parallel phases.  The ordering is
   /// an implementation detail, but it is a deterministic function of the
   /// online/offline flip history, so draws against it are reproducible.
   PeerId OnlinePeerAt(uint32_t i) const { return online_list_[i]; }
@@ -139,8 +140,24 @@ class Network {
   /// or at the model's scheduled arrival time when delivery is deferred).
   /// Peers never seen by Register/SetOnline are unreachable.
   bool Send(const Message& msg) {
-    ShardLane* lane = tls_lane_;
-    if (lane != nullptr) return LaneSend(*lane, msg);
+    if (ShardLane* lane = tls_lane_; lane != nullptr) {
+      // Lane mode (inside a round-engine phase): counter increments go to
+      // the lane's delta buffer.  Immediate delivery in lane mode is
+      // accounting-only -- lane phases require handler-free peers (all
+      // PDHT protocol logic runs at system level), so the delivered/lost
+      // outcome is the whole effect.  Inline: every query-phase send
+      // takes this path, and out of line it cost ~7% of the query phase
+      // on bench_perf_roundloop's scale_1_14/partialTtl row.
+      uint64_t* delta = lane->counter_delta.data();
+      ++delta[type_ids_[TypeIndex(msg.type)]];
+      ++delta[total_id_];
+      if (msg.to >= handlers_.size() || !online_[msg.to]) {
+        ++delta[lost_id_];
+        return false;
+      }
+      assert(deferred_ || handlers_[msg.to] == nullptr);
+      return deferred_ ? LaneSendDeferred(*lane, msg) : true;
+    }
     counters_->Add(type_ids_[TypeIndex(msg.type)]);
     counters_->Add(total_id_);
     if (msg.to >= handlers_.size() || !online_[msg.to]) {
@@ -170,7 +187,7 @@ class Network {
     counters_->Add(total_id_, n);
   }
 
-  // --- Shard lanes (sharded round engine) -------------------------------
+  // --- Shard lanes (round engine) -------------------------------------
 
   /// Binds `lane` to the calling thread: until EndLane, this thread's
   /// Send/CountOnly/ChargeProbeTimeout accumulate into the lane instead of
@@ -192,7 +209,7 @@ class Network {
 
   /// Total messages as observed by the *calling thread*: the shared
   /// counter plus the bound lane's pending delta, if any.  Query tasks in
-  /// the sharded engine bracket this exactly like the serial path
+  /// the round engine bracket this exactly like the non-lane path
   /// brackets TotalMessages() -- the shared counter is frozen during a
   /// parallel phase, so the before/after delta is the task's own traffic.
   uint64_t ObservedTotalMessages() const {
@@ -263,9 +280,10 @@ class Network {
   /// by observed deferred-delivery delays (2x the one-way link delay as
   /// the round-trip proxy).  Not owned; must outlive the network.
   /// Determinism: Observe() fires only at serial points -- SendDeferred
-  /// on the serial path and CommitDeferred's in-task-order replay --
-  /// never from LaneSend inside a parallel phase, so estimator state is
-  /// frozen while workers read it and results are shard-count invariant.
+  /// outside lane mode and CommitDeferred's in-task-order replay --
+  /// never from LaneSendDeferred inside a parallel phase, so estimator
+  /// state is frozen while workers read it and results are shard-count
+  /// invariant.
   void SetRttObserver(PeerRtoEstimator* obs) { rtt_observer_ = obs; }
 
   /// Per-message-type one-way link-delay samples, in milliseconds.
@@ -302,10 +320,9 @@ class Network {
   /// small.
   bool SendDeferred(const Message& msg);
 
-  /// Lane-mode Send: counter increments into the lane's delta buffer;
-  /// deferred sends logged for serial replay.  Out of line to keep the
-  /// serial fast path small.
-  bool LaneSend(ShardLane& lane, const Message& msg);
+  /// Lane-mode deferred send (after Send's lane accounting): charges the
+  /// link delay into the lane and logs the send for serial replay.
+  bool LaneSendDeferred(ShardLane& lane, const Message& msg);
 
   /// Schedules the arrival of a (possibly lane-logged) deferred message.
   void ScheduleArrival(const Message& msg, double delay_s);
@@ -326,7 +343,11 @@ class Network {
   std::vector<PeerId> online_list_;   ///< dense: the online peers
   std::vector<uint32_t> online_pos_;  ///< peer -> index in online_list_
 
-  static thread_local ShardLane* tls_lane_;
+  // Inline with a constant initializer, so every translation unit reads
+  // it directly instead of through a thread_local wrapper call.  The
+  // out-of-line definition also made GCC's UBSan report every lane
+  // access as a null-pointer load (ASan+UBSan suites).
+  static inline thread_local ShardLane* tls_lane_ = nullptr;
 
   const DeliveryModel* delivery_ = nullptr;  ///< not owned; null = immediate
   sim::EventQueue* events_ = nullptr;        ///< not owned

@@ -23,7 +23,7 @@
 // pre-adaptive behaviour (tests/overlay/backend_parity_test.cc).
 //
 // Determinism contract: Observe() is only called at serial points of the
-// round loop (Network::SendDeferred on the serial path; CommitDeferred's
+// round loop (Network::SendDeferred outside lane mode; CommitDeferred's
 // publish replay, which runs in global task order), never from a worker
 // inside a parallel phase -- lane-mode sends log their delay and observe
 // at commit.  RtoMs() is read-only and may be called from parallel

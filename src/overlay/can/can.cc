@@ -228,32 +228,9 @@ void CanOverlay::NextHops(const RouteState& state, uint64_t /*key*/,
   }
 }
 
-uint64_t CanOverlay::RunMaintenanceRound(double env) {
-  uint64_t probes = 0;
-  for (net::PeerId peer : member_list_) {
-    if (!network_->IsOnline(peer)) continue;
-    const auto& nbrs = NeighborsOf(peer);
-    if (nbrs.empty()) continue;
-    double& budget = probe_budget_[peer];
-    budget += env * static_cast<double>(nbrs.size());
-    while (budget >= 1.0) {
-      budget -= 1.0;
-      net::PeerId target = nbrs[rng_.UniformU64(nbrs.size())];
-      net::Message probe;
-      probe.type = net::MessageType::kRoutingProbe;
-      probe.from = peer;
-      probe.to = target;
-      network_->Send(probe);
-      ++probes;
-    }
-  }
-  return probes;
-}
-
 uint32_t CanOverlay::PlanMaintenanceRound(double env) {
-  // Same budget accrual as the serial round, in the same member order;
-  // whole probes frozen at plan time.  Draws no randomness, so rng_
-  // advances identically whichever engine runs maintenance.
+  // Budgets accrue in member-list order; whole probes are frozen at plan
+  // time.  The plan draws no randomness.
   maint_tasks_.clear();
   for (net::PeerId peer : member_list_) {
     if (!network_->IsOnline(peer)) continue;

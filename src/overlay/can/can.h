@@ -89,20 +89,16 @@ class CanOverlay : public StructuredOverlay {
 
   /// Probe-based neighbor maintenance (env semantics as elsewhere).
   /// CAN zones are static here, so "repair" means remembering the
-  /// neighbor is down; probes detect and are counted.  Returns probes.
-  /// Rejoin needs no refresh either (OnPeerRejoin keeps the base no-op).
-  uint64_t RunMaintenanceRound(double env) override;
-
-  /// Sharded maintenance (plan/execute/publish, see StructuredOverlay).
-  /// Plan consumes the same fractional probe budgets as the serial round
-  /// in member-list order; execute only probes (CAN has no repair --
-  /// zones and neighbor lists are static), reading the frozen neighbor
-  /// lists and drawing from the caller Rng, so distinct tasks are
-  /// trivially race-free.
-  bool has_sharded_maintenance() const override { return true; }
+  /// neighbor is down; probes detect and are counted.  Plan consumes the
+  /// fractional probe budgets in member-list order; a task only probes,
+  /// reading the frozen neighbor lists and drawing from the caller Rng,
+  /// so distinct tasks are trivially race-free.
   uint32_t PlanMaintenanceRound(double env) override;
   void ExecuteMaintenanceTask(uint32_t task, Rng& rng) override;
   uint64_t FinishMaintenanceRound() override;
+
+  /// Static zones need no rebuild on rejoin.
+  void RejoinNode(net::PeerId /*peer*/, Rng& /*rng*/) override {}
 
   /// Order-sensitive hash over zone bounds and neighbor lists of every
   /// member (determinism-test hook).  Static after SetMembers, but the
@@ -155,7 +151,7 @@ class CanOverlay : public StructuredOverlay {
   std::unordered_map<net::PeerId, double> probe_budget_;
   std::vector<net::PeerId> empty_;
 
-  /// One sharded-maintenance task: all of a member's probes for the
+  /// One maintenance task: all of a member's probes for the
   /// round, frozen at plan time (neighbor lists are static).
   struct MaintTask {
     net::PeerId peer = net::kInvalidPeer;

@@ -11,36 +11,16 @@
 
 namespace pdht::overlay {
 
-ChordOverlay::ChordOverlay(net::Network* network, Rng rng,
+ChordOverlay::ChordOverlay(net::Network* network,
                            uint32_t successor_list_size)
-    : StructuredOverlay(network), rng_(rng),
-      successor_list_size_(successor_list_size) {}
+    : StructuredOverlay(network),
+      successor_list_size_(successor_list_size),
+      maint_(std::make_unique<ChordMaintenance>(this, network, 0.0)) {}
 
 ChordOverlay::~ChordOverlay() = default;
 
-uint64_t ChordOverlay::RunMaintenanceRound(double env) {
-  if (maint_ == nullptr) {
-    maint_ = std::make_unique<ChordMaintenance>(this, network_, env,
-                                                rng_.Fork());
-  } else {
-    // Keep the instance: fractional probe budgets carry across rounds
-    // even when the caller sweeps env.
-    maint_->set_env(env);
-  }
-  uint64_t before = maint_->stats().probes_sent;
-  maint_->RunRound();
-  return maint_->stats().probes_sent - before;
-}
-
 uint32_t ChordOverlay::PlanMaintenanceRound(double env) {
-  // Same lazy construction as the serial path, so a run consumes the
-  // identical rng_ fork whichever engine drives maintenance.
-  if (maint_ == nullptr) {
-    maint_ = std::make_unique<ChordMaintenance>(this, network_, env,
-                                                rng_.Fork());
-  } else {
-    maint_->set_env(env);
-  }
+  maint_->set_env(env);
   return maint_->PlanRound();
 }
 
@@ -50,6 +30,10 @@ void ChordOverlay::ExecuteMaintenanceTask(uint32_t task, Rng& rng) {
 
 uint64_t ChordOverlay::FinishMaintenanceRound() {
   return maint_->FinishRound();
+}
+
+const MaintenanceStats& ChordOverlay::maintenance_stats() const {
+  return maint_->stats();
 }
 
 uint64_t ChordOverlay::RoutingFingerprint() const {

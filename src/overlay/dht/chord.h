@@ -27,13 +27,15 @@
 namespace pdht::overlay {
 
 class ChordMaintenance;
+struct MaintenanceStats;
 
 class ChordOverlay : public StructuredOverlay {
  public:
   /// `network` must outlive the overlay.  `successor_list_size` entries of
-  /// redundancy for routing around failures.
-  ChordOverlay(net::Network* network, Rng rng,
-               uint32_t successor_list_size = 8);
+  /// redundancy for routing around failures.  Chord tables are a pure
+  /// function of membership, so construction takes no Rng.
+  explicit ChordOverlay(net::Network* network,
+                        uint32_t successor_list_size = 8);
   ~ChordOverlay() override;
 
   /// (Re)builds the ring over the given member peers.  Ids derive from
@@ -89,28 +91,18 @@ class ChordOverlay : public StructuredOverlay {
   /// milliseconds.  0 without an RTT oracle.
   double ProgressWeightMs() const override;
 
-  /// One probe round of the owned ChordMaintenance (created on first use
-  /// with the given env; see overlay/dht/maintenance.h).  Returns probes
-  /// sent.
-  uint64_t RunMaintenanceRound(double env) override;
-
-  /// Sharded maintenance (plan/execute/publish, see StructuredOverlay):
-  /// forwarded to the owned ChordMaintenance, which keeps the fractional
-  /// budgets shared between the serial and sharded paths.
-  bool has_sharded_maintenance() const override { return true; }
+  /// Maintenance rounds run on the owned ChordMaintenance (see
+  /// overlay/dht/maintenance.h), which keeps the fractional budgets.
   uint32_t PlanMaintenanceRound(double env) override;
   void ExecuteMaintenanceTask(uint32_t task, Rng& rng) override;
   uint64_t FinishMaintenanceRound() override;
+  /// Cumulative probe/stale/repair counts of every finished round.
+  const MaintenanceStats& maintenance_stats() const;
 
-  /// Rejoin refresh, free/piggybacked (paper Section 3.3.1).
-  void OnPeerRejoin(net::PeerId peer) override { RefreshNode(peer); }
-
-  /// Table rebuilds draw no randomness, so the sharded rejoin is plain
-  /// RefreshNode -- safe for distinct peers in parallel (BuildTable
-  /// writes only the named member's table).
-  bool has_sharded_rejoin() const override { return true; }
-  void RejoinNode(net::PeerId peer, Rng& rng) override {
-    (void)rng;
+  /// Rejoin refresh, free/piggybacked (paper Section 3.3.1).  Table
+  /// rebuilds draw no randomness and write only the named member's
+  /// table, so distinct peers rebuild safely in parallel.
+  void RejoinNode(net::PeerId peer, Rng& /*rng*/) override {
     RefreshNode(peer);
   }
 
@@ -118,8 +110,8 @@ class ChordOverlay : public StructuredOverlay {
   /// lists of every member (determinism-test hook).
   uint64_t RoutingFingerprint() const override;
 
-  /// Rebuilds one node's routing state from current membership; called by
-  /// maintenance on finger repair and on rejoin after churn.
+  /// Rebuilds one node's routing state from current membership (the
+  /// rejoin refresh).
   void RefreshNode(net::PeerId peer);
 
   /// Recomputes where finger `idx` of `peer` should point and updates it.
@@ -151,11 +143,10 @@ class ChordOverlay : public StructuredOverlay {
   Member* FindMember(net::PeerId peer);
   const Member* FindMember(net::PeerId peer) const;
 
-  Rng rng_;
   uint32_t successor_list_size_;
   std::vector<Member> ring_;  // sorted by id
   std::unordered_map<net::PeerId, size_t> peer_to_index_;
-  std::unique_ptr<ChordMaintenance> maint_;  // lazy, see RunMaintenanceRound
+  std::unique_ptr<ChordMaintenance> maint_;
   mutable std::vector<net::PeerId> members_cache_;
   mutable bool members_cache_valid_ = false;
 

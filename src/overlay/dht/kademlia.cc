@@ -269,25 +269,6 @@ uint64_t KademliaOverlay::ProbeMember(net::PeerId peer, uint32_t probes,
   return sent;
 }
 
-uint64_t KademliaOverlay::RunMaintenanceRound(double env) {
-  uint64_t probes = 0;
-  for (net::PeerId peer : member_list_) {
-    if (!network_->IsOnline(peer)) continue;
-    size_t table_size = TableSize(peer);
-    if (table_size == 0) continue;
-    double& budget = probe_budget_[peer];
-    budget += env * static_cast<double>(table_size);
-    // floor + subtract leaves the same residual as the historical
-    // `while (budget >= 1.0) budget -= 1.0` loop (integer subtraction
-    // from a double this size is exact), and the draw sequence through
-    // ProbeMember is probe-for-probe the old inline loop.
-    const uint32_t whole = static_cast<uint32_t>(budget);
-    budget -= static_cast<double>(whole);
-    if (whole > 0) probes += ProbeMember(peer, whole, rng_);
-  }
-  return probes;
-}
-
 uint32_t KademliaOverlay::PlanMaintenanceRound(double env) {
   maint_tasks_.clear();
   for (net::PeerId peer : member_list_) {
@@ -331,10 +312,6 @@ uint64_t KademliaOverlay::RoutingFingerprint() const {
     }
   }
   return h;
-}
-
-void KademliaOverlay::RefreshNode(net::PeerId peer) {
-  if (nodes_.count(peer) > 0) BuildBuckets(peer, rng_);
 }
 
 size_t KademliaOverlay::TableSize(net::PeerId peer) const {

@@ -80,30 +80,20 @@ class KademliaOverlay : public StructuredOverlay {
 
   /// Probe-based bucket maintenance (env semantics as elsewhere): probes
   /// random contacts, replaces detected-offline ones with an online
-  /// member of the same bucket (repair is free / piggybacked).
-  uint64_t RunMaintenanceRound(double env) override;
-
-  /// Sharded maintenance (plan/execute/publish, see StructuredOverlay):
-  /// plan consumes the fractional budget map serially in member order,
-  /// execute probes/repairs one member's buckets with the task Rng
-  /// (in-place contact swaps -- bucket sizes never change mid-phase).
-  bool has_sharded_maintenance() const override { return true; }
+  /// member of the same bucket (repair is free / piggybacked).  Plan
+  /// consumes the fractional budget map serially in member order; a task
+  /// probes/repairs one member's buckets with the task Rng (in-place
+  /// contact swaps -- bucket sizes never change mid-phase).
   uint32_t PlanMaintenanceRound(double env) override;
   void ExecuteMaintenanceTask(uint32_t task, Rng& rng) override;
   uint64_t FinishMaintenanceRound() override;
 
-  /// Rejoin refresh: rebuilds the peer's buckets from current membership.
-  void OnPeerRejoin(net::PeerId peer) override { RefreshNode(peer); }
-
-  /// Bucket rebuild draws (the over-full shuffle) route through the
-  /// caller's Rng, so distinct peers rebuild concurrently without
-  /// touching the shared stream.
-  bool has_sharded_rejoin() const override { return true; }
+  /// Rejoin refresh: rebuilds the peer's buckets from current membership;
+  /// the over-full shuffle draws from `rng`, so distinct peers rebuild
+  /// concurrently without touching a shared stream.
   void RejoinNode(net::PeerId peer, Rng& rng) override {
     if (nodes_.count(peer) > 0) BuildBuckets(peer, rng);
   }
-
-  void RefreshNode(net::PeerId peer);
 
   /// Order-sensitive hash over every member's buckets (determinism-test
   /// hook).
@@ -131,11 +121,10 @@ class KademliaOverlay : public StructuredOverlay {
   };
 
   /// Rebuilds `peer`'s buckets; the over-full shuffle draws from `rng`
-  /// (serial callers pass rng_, sharded rejoin passes a per-peer stream).
+  /// (SetMembers passes rng_, rejoin a per-peer stream).
   void BuildBuckets(net::PeerId peer, Rng& rng);
   /// One member's probe round against its own buckets, drawing from
-  /// `rng`; shared by the serial and sharded maintenance paths.  Returns
-  /// probes sent.
+  /// `rng`.  Returns probes sent.
   uint64_t ProbeMember(net::PeerId peer, uint32_t probes, Rng& rng);
   /// Members whose id differs from `id` first at bit `bucket`.
   std::vector<net::PeerId> BucketCandidates(NodeId id, int bucket) const;
@@ -150,7 +139,7 @@ class KademliaOverlay : public StructuredOverlay {
   std::vector<NodeId> sorted_ids_;        // parallel to member_list_
   std::unordered_map<net::PeerId, double> probe_budget_;
 
-  /// Sharded-maintenance round state (plan -> execute -> finish).
+  /// Maintenance round state (plan -> execute -> finish).
   struct MaintTask {
     net::PeerId peer = net::kInvalidPeer;
     uint32_t probes = 0;

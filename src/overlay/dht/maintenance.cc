@@ -1,68 +1,25 @@
 #include "overlay/dht/maintenance.h"
 
-#include <cmath>
-
 namespace pdht::overlay {
 
 ChordMaintenance::ChordMaintenance(ChordOverlay* overlay,
-                                   net::Network* network, double env,
-                                   Rng rng)
-    : overlay_(overlay), network_(network), env_(env), rng_(rng) {}
-
-double ChordMaintenance::ExpectedProbesPerPeer(net::PeerId peer) const {
-  const FingerTable* table = overlay_->TableOf(peer);
-  if (table == nullptr) return 0.0;
-  return env_ * static_cast<double>(table->size());
-}
-
-void ChordMaintenance::RunRound() {
-  for (net::PeerId peer : overlay_->members_sorted_by_id()) {
-    if (!network_->IsOnline(peer)) continue;
-    FingerTable* table = overlay_->TableOf(peer);
-    if (table == nullptr || table->size() == 0) continue;
-    // Accumulate this round's probe budget; spend whole probes.
-    double& budget = budget_[peer];
-    budget += env_ * static_cast<double>(table->size());
-    while (budget >= 1.0) {
-      budget -= 1.0;
-      size_t total = table->size();
-      size_t idx = static_cast<size_t>(rng_.UniformU64(total));
-      const FingerEntry& entry =
-          idx < table->fingers().size()
-              ? table->fingers()[idx]
-              : table->successors()[idx - table->fingers().size()];
-      if (entry.peer == net::kInvalidPeer) continue;
-      net::Message probe;
-      probe.type = net::MessageType::kRoutingProbe;
-      probe.from = peer;
-      probe.to = entry.peer;
-      network_->Send(probe);
-      ++stats_.probes_sent;
-      if (!network_->IsOnline(entry.peer)) {
-        ++stats_.stale_detected;
-        // Repair is free (piggybacked), per the paper's assumption.
-        overlay_->RepairFinger(peer, idx);
-        ++stats_.repairs;
-      }
-    }
-  }
-}
+                                   net::Network* network, double env)
+    : overlay_(overlay), network_(network), env_(env) {}
 
 uint32_t ChordMaintenance::PlanRound() {
   tasks_.clear();
   for (net::PeerId peer : overlay_->members_sorted_by_id()) {
     if (!network_->IsOnline(peer)) continue;
-    const FingerTable* table = overlay_->TableOf(peer);
+    FingerTable* table = overlay_->TableOf(peer);
     if (table == nullptr || table->size() == 0) continue;
     double& budget = budget_[peer];
     budget += env_ * static_cast<double>(table->size());
-    // The whole-probe count is frozen here (the serial loop re-reads the
-    // table size per probe, so repairs that shrink a successor list mid
-    // round shift its budget; the sharded stream accrues at round-start
-    // sizes -- a different, equally valid stream).
+    // The whole-probe count is frozen here, at the round-start table
+    // size (repairs that shrink a successor list mid-round don't shift
+    // this round's budget).
     const uint32_t probes = static_cast<uint32_t>(budget);
     budget -= static_cast<double>(probes);
-    if (probes > 0) tasks_.push_back(MaintTask{peer, probes});
+    if (probes > 0) tasks_.push_back(MaintTask{peer, table, probes});
   }
   task_stats_.assign(tasks_.size(), TaskStats{});
   return static_cast<uint32_t>(tasks_.size());
@@ -70,7 +27,7 @@ uint32_t ChordMaintenance::PlanRound() {
 
 void ChordMaintenance::ExecuteTask(uint32_t task, Rng& rng) {
   const MaintTask& t = tasks_[task];
-  FingerTable* table = overlay_->TableOf(t.peer);
+  FingerTable* table = t.table;
   TaskStats& ts = task_stats_[task];
   for (uint32_t i = 0; i < t.probes; ++i) {
     // Per-probe size sampling stays inside the owning task: successor
@@ -109,10 +66,6 @@ uint64_t ChordMaintenance::FinishRound() {
   tasks_.clear();
   task_stats_.clear();
   return probes;
-}
-
-void ChordMaintenance::OnPeerRejoin(net::PeerId peer) {
-  overlay_->RefreshNode(peer);
 }
 
 }  // namespace pdht::overlay

@@ -35,17 +35,11 @@ struct MaintenanceStats {
 class ChordMaintenance {
  public:
   /// `env`: probe messages per routing entry per round.
-  ChordMaintenance(ChordOverlay* overlay, net::Network* network, double env,
-                   Rng rng);
+  ChordMaintenance(ChordOverlay* overlay, net::Network* network, double env);
 
-  /// Runs one maintenance round across all online members.
-  void RunRound();
-
-  // --- Sharded round (plan/execute/finish) -----------------------------
-  //
-  // The StructuredOverlay sharded-maintenance contract, implemented
-  // here so the fractional budget map stays in one place.  PlanRound
-  // consumes budgets serially (unordered_map insertion is not
+  // The StructuredOverlay maintenance contract (plan/execute/finish),
+  // implemented here so the fractional budget map stays in one place.
+  // PlanRound consumes budgets serially (unordered_map insertion is not
   // thread-safe) in ring order and freezes each member's probe count at
   // its round-start table size; ExecuteTask probes/repairs one member's
   // table with the caller's Rng -- repairs write only that member's
@@ -64,23 +58,18 @@ class ChordMaintenance {
   /// round's probes sent.
   uint64_t FinishRound();
 
-  /// Refreshes a peer's full table without message cost; call when a peer
-  /// rejoins after downtime ("piggybacking routing information on queries"
-  /// keeps rejoining cheap in the paper's model).
-  void OnPeerRejoin(net::PeerId peer);
-
   const MaintenanceStats& stats() const { return stats_; }
   double env() const { return env_; }
   /// Adjusts the probe rate without resetting accumulated fractional
   /// budgets or stats (env may vary per round through StructuredOverlay).
   void set_env(double env) { env_ = env; }
 
-  /// Expected probe messages per online member per round: env * table size.
-  double ExpectedProbesPerPeer(net::PeerId peer) const;
-
  private:
   struct MaintTask {
     net::PeerId peer = net::kInvalidPeer;
+    /// The member's table, resolved at plan time (the ring is not
+    /// resized during a round, so the pointer stays valid).
+    FingerTable* table = nullptr;
     uint32_t probes = 0;  ///< whole probes granted at plan time
   };
   struct TaskStats {
@@ -92,10 +81,9 @@ class ChordMaintenance {
   ChordOverlay* overlay_;
   net::Network* network_;
   double env_;
-  Rng rng_;
   MaintenanceStats stats_;
   std::unordered_map<net::PeerId, double> budget_;  // fractional carry-over
-  std::vector<MaintTask> tasks_;       // sharded-round plan
+  std::vector<MaintTask> tasks_;       // the round's plan
   std::vector<TaskStats> task_stats_;  // parallel to tasks_
 };
 

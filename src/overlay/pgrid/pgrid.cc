@@ -112,13 +112,17 @@ std::vector<net::PeerId> PGridOverlay::PeersUnder(
   return out;
 }
 
-void PGridOverlay::BuildRefsFor(net::PeerId peer) {
-  NodeState& st = paths_[peer];
+void PGridOverlay::BuildRefsFor(net::PeerId peer, Rng& rng) {
+  // find, not operator[]: concurrent rebuilds of distinct peers must not
+  // insert into the shared map.
+  auto it = paths_.find(peer);
+  if (it == paths_.end()) return;
+  NodeState& st = it->second;
   st.levels.assign(static_cast<size_t>(st.path.length()), LevelRefs{});
   for (int l = 0; l < st.path.length(); ++l) {
     // Candidates: peers under the sibling prefix at level l.
     std::vector<net::PeerId> cands = PeersUnder(st.path.SiblingAt(l));
-    rng_.Shuffle(cands.data(), cands.size());
+    rng.Shuffle(cands.data(), cands.size());
     uint32_t want = std::min<uint32_t>(config_.refs_per_level,
                                        static_cast<uint32_t>(cands.size()));
     st.levels[l].refs.assign(cands.begin(), cands.begin() + want);
@@ -128,7 +132,7 @@ void PGridOverlay::BuildRefsFor(net::PeerId peer) {
 void PGridOverlay::BuildRoutingTables() {
   for (auto& [peer, st] : paths_) {
     (void)st;
-    BuildRefsFor(peer);
+    BuildRefsFor(peer, rng_);
   }
 }
 
@@ -210,55 +214,9 @@ size_t PGridOverlay::TableSize(net::PeerId peer) const {
   return total;
 }
 
-uint64_t PGridOverlay::RunMaintenanceRound(double env) {
-  uint64_t probes = 0;
-  for (net::PeerId peer : member_list_) {
-    if (!network_->IsOnline(peer)) continue;
-    NodeState& st = paths_[peer];
-    size_t table = TableSize(peer);
-    if (table == 0) continue;
-    double& budget = probe_budget_[peer];
-    budget += env * static_cast<double>(table);
-    while (budget >= 1.0) {
-      budget -= 1.0;
-      // Pick a random reference uniformly across levels.
-      size_t idx = rng_.UniformU64(table);
-      for (auto& lvl : st.levels) {
-        if (idx < lvl.refs.size()) {
-          net::PeerId target = lvl.refs[idx];
-          net::Message probe;
-          probe.type = net::MessageType::kRoutingProbe;
-          probe.from = peer;
-          probe.to = target;
-          network_->Send(probe);
-          ++probes;
-          if (!network_->IsOnline(target)) {
-            // Re-pick a live peer from the same sibling subtree (repair is
-            // free, piggybacked -- same assumption as ChordMaintenance).
-            int level = static_cast<int>(&lvl - st.levels.data());
-            auto cands = PeersUnder(st.path.SiblingAt(level));
-            for (int a = 0; a < 16 && !cands.empty(); ++a) {
-              net::PeerId cand = cands[rng_.UniformU64(cands.size())];
-              if (network_->IsOnline(cand) && cand != target) {
-                lvl.refs[idx] = cand;
-                break;
-              }
-            }
-          }
-          break;
-        }
-        idx -= lvl.refs.size();
-      }
-    }
-  }
-  return probes;
-}
-
 uint32_t PGridOverlay::PlanMaintenanceRound(double env) {
-  // Same budget accrual as the serial round, in the same member order;
-  // whole probes are frozen at round-start table sizes.  The plan draws
-  // no randomness, so rng_ advances identically whichever engine runs
-  // maintenance for a given configuration.
+  // Budgets accrue in member-list order; whole probes are frozen at
+  // round-start table sizes.  The plan draws no randomness.
   maint_tasks_.clear();
   for (net::PeerId peer : member_list_) {
     if (!network_->IsOnline(peer)) continue;
@@ -282,8 +240,8 @@ void PGridOverlay::ExecuteMaintenanceTask(uint32_t task, Rng& rng) {
   for (const auto& lvl : st.levels) table += lvl.refs.size();
   if (table == 0) return;
   for (uint32_t p = 0; p < t.probes; ++p) {
-    // Pick a random reference uniformly across levels (as the serial
-    // round does), drawing from the caller Rng only.
+    // Pick a random reference uniformly across levels, drawing from the
+    // caller Rng only.
     size_t idx = rng.UniformU64(table);
     for (auto& lvl : st.levels) {
       if (idx < lvl.refs.size()) {
@@ -294,9 +252,10 @@ void PGridOverlay::ExecuteMaintenanceTask(uint32_t task, Rng& rng) {
         probe.to = target;
         network_->Send(probe);
         if (!network_->IsOnline(target)) {
-          // Repair writes only this member's reference slot; the
-          // candidate scan reads other members' paths, which are frozen
-          // for the phase.
+          // Re-pick a live peer from the same sibling subtree (repair is
+          // free, piggybacked -- same assumption as ChordMaintenance).  It
+          // writes only this member's reference slot; the candidate scan
+          // reads other members' paths, which are frozen for the phase.
           int level = static_cast<int>(&lvl - st.levels.data());
           auto cands = PeersUnder(st.path.SiblingAt(level));
           for (int a = 0; a < 16 && !cands.empty(); ++a) {
@@ -335,10 +294,6 @@ uint64_t PGridOverlay::RoutingFingerprint() const {
     }
   }
   return h;
-}
-
-void PGridOverlay::RefreshNode(net::PeerId peer) {
-  if (paths_.count(peer)) BuildRefsFor(peer);
 }
 
 double PGridOverlay::StaleReferenceFraction() const {

@@ -94,18 +94,12 @@ class PGridOverlay : public StructuredOverlay {
   /// Total routing references of `peer` (for maintenance sizing).
   size_t TableSize(net::PeerId peer) const;
 
-  /// Probe-based maintenance round (same env semantics as
-  /// ChordMaintenance): probes random references, re-picks dead ones.
-  /// Returns probes sent.
-  uint64_t RunMaintenanceRound(double env) override;
-
-  /// Sharded maintenance (plan/execute/publish, see StructuredOverlay).
-  /// Plan consumes the same fractional probe budgets as the serial round
-  /// in member-list order; execute probes and repairs only the owning
-  /// member's reference lists, drawing from the caller Rng (repair
-  /// candidate scans read only other members' immutable paths, so
-  /// distinct tasks are race-free).
-  bool has_sharded_maintenance() const override { return true; }
+  /// Probe-based maintenance (same env semantics as ChordMaintenance):
+  /// probes random references, re-picks dead ones.  Plan consumes the
+  /// fractional probe budgets in member-list order; a task probes and
+  /// repairs only the owning member's reference lists, drawing from the
+  /// caller Rng (repair candidate scans read only other members'
+  /// immutable paths, so distinct tasks are race-free).
   uint32_t PlanMaintenanceRound(double env) override;
   void ExecuteMaintenanceTask(uint32_t task, Rng& rng) override;
   uint64_t FinishMaintenanceRound() override;
@@ -114,11 +108,11 @@ class PGridOverlay : public StructuredOverlay {
   /// every member (determinism-test hook).
   uint64_t RoutingFingerprint() const override;
 
-  /// Rejoin refresh, free/piggybacked.
-  void OnPeerRejoin(net::PeerId peer) override { RefreshNode(peer); }
-
-  /// Rebuilds a peer's references from current paths (rejoin refresh).
-  void RefreshNode(net::PeerId peer);
+  /// Rejoin refresh, free/piggybacked: rebuilds the peer's references
+  /// from current paths, shuffling candidates with `rng`.
+  void RejoinNode(net::PeerId peer, Rng& rng) override {
+    BuildRefsFor(peer, rng);
+  }
 
   /// Empty string when the trie is well-formed (paths prefix-free and
   /// covering: every key id has >= 1 responsible peer). Test-support API.
@@ -136,7 +130,10 @@ class PGridOverlay : public StructuredOverlay {
   };
 
   void BuildRoutingTables();
-  void BuildRefsFor(net::PeerId peer);
+  /// Rebuilds `peer`'s per-level references (no-op for non-members);
+  /// touches only that peer's entry, so distinct peers may rebuild
+  /// concurrently.
+  void BuildRefsFor(net::PeerId peer, Rng& rng);
   /// Peers whose path starts with prefix (exact prefix match on paths).
   std::vector<net::PeerId> PeersUnder(const TriePath& prefix) const;
 
@@ -146,7 +143,7 @@ class PGridOverlay : public StructuredOverlay {
   std::vector<net::PeerId> member_list_;
   std::unordered_map<net::PeerId, double> probe_budget_;
 
-  /// One sharded-maintenance task: all of a member's probes for the
+  /// One maintenance task: all of a member's probes for the
   /// round, frozen at plan time (reference-list sizes don't change
   /// mid-round: repair replaces entries in place).
   struct MaintTask {

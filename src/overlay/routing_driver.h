@@ -78,7 +78,7 @@ namespace pdht::overlay {
 class StructuredOverlay;
 struct LookupResult;
 
-/// Lookup slots: concurrent lookups (the sharded round engine's parallel
+/// Lookup slots: concurrent lookups (the round engine's parallel
 /// query phase) each run under a distinct slot index, selected per worker
 /// thread via this thread-local.  All per-lookup state -- the driver's
 /// candidate scratch and every backend's StartLookup-scoped fields --

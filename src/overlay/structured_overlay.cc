@@ -21,6 +21,27 @@ LookupResult StructuredOverlay::Lookup(net::PeerId origin, uint64_t key) {
   return driver_.Route(*this, origin, key);
 }
 
+void StructuredOverlay::ExecuteMaintenanceChunk(uint64_t seed,
+                                                uint32_t chunk,
+                                                uint32_t num_tasks) {
+  Rng rng(Mix64(HashCombine(seed, chunk)));
+  const uint32_t end =
+      std::min(num_tasks, (chunk + 1) * kMaintenanceChunk);
+  for (uint32_t task = chunk * kMaintenanceChunk; task < end; ++task) {
+    ExecuteMaintenanceTask(task, rng);
+  }
+}
+
+uint64_t StructuredOverlay::RunMaintenanceRound(double env) {
+  const uint32_t tasks = PlanMaintenanceRound(env);
+  const uint64_t seed =
+      Mix64(HashCombine(0x6d61696e74ULL, maint_rounds_++));  // "maint"
+  for (uint32_t c = 0; c * kMaintenanceChunk < tasks; ++c) {
+    ExecuteMaintenanceChunk(seed, c, tasks);
+  }
+  return FinishMaintenanceRound();
+}
+
 net::PeerId StructuredOverlay::RandomOnlineMember(Rng& rng) const {
   const std::vector<net::PeerId>& mem = members();
   if (mem.empty()) return net::kInvalidPeer;
@@ -62,8 +83,8 @@ namespace {
 
 std::unique_ptr<StructuredOverlay> MakeChord(net::Network* network,
                                              const OverlayParams& /*params*/,
-                                             Rng rng) {
-  return std::make_unique<ChordOverlay>(network, rng);
+                                             Rng /*rng*/) {
+  return std::make_unique<ChordOverlay>(network);
 }
 
 std::unique_ptr<StructuredOverlay> MakePGrid(net::Network* network,

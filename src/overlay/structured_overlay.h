@@ -23,8 +23,9 @@
 //    sites are unchanged.
 //  * Every hop attempt is one kDhtLookup on the shared Network (design
 //    decision #5: protocols never self-report costs).
-//  * RunMaintenanceRound spends env probe messages per routing entry per
-//    online member per round (Eq. 8 semantics, fractional budgets carry).
+//  * Maintenance spends env probe messages per routing entry per online
+//    member per round (Eq. 8 semantics, fractional budgets carry), as a
+//    plan/execute/finish split the round engine can parallelize.
 //  * ResponsiblePeers returns the key's replica group, responsible member
 //    first.  The default spreads the remaining repl-1 replicas over
 //    hash-derived members (successor-consecutive replicas would overflow
@@ -261,8 +262,8 @@ class StructuredOverlay {
   /// Provisions `n` lookup slots so up to `n` concurrent Lookup calls --
   /// each on its own thread with a distinct CurrentLookupSlot() -- can
   /// share this overlay instance.  Concurrent lookups must only *read*
-  /// routing tables: SetMembers/maintenance/rejoin repairs stay serial
-  /// phases.  Default is 1 slot; calling mid-lookup is undefined.
+  /// routing tables: SetMembers/maintenance/rejoin repairs run in phases
+  /// of their own.  Default is 1 slot; calling mid-lookup is undefined.
   void SetLookupSlots(uint32_t n) {
     driver_.SetSlots(n);
     ResizeLookupSlots(n == 0 ? 1 : n);
@@ -275,16 +276,13 @@ class StructuredOverlay {
   /// Default: 64 uniform draws from members(), then a linear fallback.
   virtual net::PeerId RandomOnlineMember(Rng& rng) const;
 
-  /// One probe-based maintenance round (Eq. 8): env probes per routing
-  /// entry per online member, stale entries repaired for free
-  /// (piggybacked).  Returns probes sent.
-  virtual uint64_t RunMaintenanceRound(double env) = 0;
-
-  // --- Sharded maintenance (optional backend opt-in) --------------------
+  // --- Maintenance and rejoin (implemented by backends) -----------------
   //
-  // The plan/execute/publish split of RunMaintenanceRound, for the
-  // sharded round engine (docs/architecture.md).  A backend that opts in
-  // (has_sharded_maintenance() true) promises:
+  // Probe-based maintenance (Eq. 8): env probes per routing entry per
+  // online member per round, stale entries repaired for free
+  // (piggybacked), fractional budgets carried across rounds.  One round
+  // is a plan/execute/finish split so the round engine can run the
+  // execute step on its worker pool:
   //
   //  * PlanMaintenanceRound (serial) consumes the fractional probe
   //    budgets in canonical member order and returns a task count N; the
@@ -293,43 +291,42 @@ class StructuredOverlay {
   //    indices in [0, N), any order, any thread) draws only from the
   //    caller-provided Rng, writes only the owning member's routing
   //    table, and reads shared state (membership, other tables' sizes,
-  //    Network::IsOnline) that the engine guarantees frozen for the
-  //    phase.  Probe sends go through the Network (the engine binds a
-  //    counter lane around each task).
+  //    Network::IsOnline) that the engine keeps frozen for the phase.
+  //    Probe sends go through the Network (the engine binds a counter
+  //    lane around its tasks).
   //  * FinishMaintenanceRound (serial) merges per-task stats in task
   //    order and returns the round's probes sent.
-  //
-  // Backends that keep the default stay on the serial
-  // RunMaintenanceRound -- the engine checks has_sharded_maintenance()
-  // and falls back, so opting in is never required for correctness.
-  virtual bool has_sharded_maintenance() const { return false; }
-  virtual uint32_t PlanMaintenanceRound(double env) {
-    (void)env;
-    return 0;
-  }
-  virtual void ExecuteMaintenanceTask(uint32_t task, Rng& rng) {
-    (void)task;
-    (void)rng;
-  }
-  virtual uint64_t FinishMaintenanceRound() { return 0; }
+  virtual uint32_t PlanMaintenanceRound(double env) = 0;
+  virtual void ExecuteMaintenanceTask(uint32_t task, Rng& rng) = 0;
+  virtual uint64_t FinishMaintenanceRound() = 0;
 
-  /// A member came back online after churn downtime: refresh its routing
-  /// state (free, piggybacked).  Backends with static routing state (CAN
-  /// zones) keep the no-op default.
-  virtual void OnPeerRejoin(net::PeerId peer) { (void)peer; }
+  /// Planned tasks per execute chunk.  A task is one member's probe or
+  /// two, so drivers hand out fixed chunks of consecutive tasks: one
+  /// Rng, one lane binding and one deferred slice per chunk instead of
+  /// per task cut the maint phase by ~22% at 400-1,428 peers
+  /// (bench_perf_roundloop --phase-times, scale_1_14/scale_1_50 rows).
+  /// Fixed, so the chunking never depends on the thread count.
+  static constexpr uint32_t kMaintenanceChunk = 64;
 
-  /// Sharded-rejoin opt-in: RejoinNode(peer, rng) must rebuild exactly
-  /// the named peer's routing state, drawing randomness only from `rng`
-  /// and reading only shared state that is frozen while the engine's
-  /// churn phase rebuilds distinct peers concurrently.  Backends with a
-  /// shared-Rng rebuild (Kademlia's bucket shuffle) opt in by routing
-  /// the draw through the parameter; the default keeps the serial
-  /// OnPeerRejoin path.
-  virtual bool has_sharded_rejoin() const { return false; }
-  virtual void RejoinNode(net::PeerId peer, Rng& rng) {
-    (void)rng;
-    OnPeerRejoin(peer);
-  }
+  /// Executes chunk `chunk` of a round planned with `num_tasks` tasks:
+  /// tasks [chunk * kMaintenanceChunk, ...) in index order, all drawing
+  /// from one Rng(Mix64(HashCombine(seed, chunk))).  The one stream rule
+  /// of every maintenance driver, so a task's draws never depend on which
+  /// thread or driver runs it.
+  void ExecuteMaintenanceChunk(uint64_t seed, uint32_t chunk,
+                               uint32_t num_tasks);
+
+  /// One whole maintenance round, inline on the caller: plan, every chunk
+  /// (seeded from this overlay's round count), finish.  Returns probes
+  /// sent.  For standalone overlays (unit tests, benches); PdhtSystem
+  /// drives the same calls through its worker pool.
+  uint64_t RunMaintenanceRound(double env);
+
+  /// A member came back online after churn downtime: rebuild exactly its
+  /// routing state (free, piggybacked), drawing randomness only from
+  /// `rng` and reading only shared state that stays frozen while the
+  /// engine's churn phase rebuilds distinct peers concurrently.
+  virtual void RejoinNode(net::PeerId peer, Rng& rng) = 0;
 
   /// Order-sensitive hash of every member's routing table (entry order
   /// included), for bit-identity assertions across thread/shard counts
@@ -369,12 +366,13 @@ class StructuredOverlay {
 
  private:
   RoutingDriver driver_;
+  uint64_t maint_rounds_ = 0;  ///< RunMaintenanceRound calls (task seeds)
 };
 
 /// Construction-time knobs shared by all backends.  Backends read what
 /// they need and ignore the rest.  (The maintenance probe rate env is
 /// deliberately *not* here: it flows per-call through
-/// RunMaintenanceRound so it can be swept at runtime.)
+/// PlanMaintenanceRound so it can be swept at runtime.)
 struct OverlayParams {
   /// Replication factor: sizes structural replica groups (P-Grid leaf
   /// population).

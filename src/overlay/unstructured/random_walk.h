@@ -52,7 +52,7 @@ class RandomWalkSearch {
   }
 
   /// Same walk, but drawing every random step from the caller's `rng`
-  /// instead of the searcher's own stream.  The sharded round engine runs
+  /// instead of the searcher's own stream.  The round engine runs
   /// one searcher per worker slot and hands each query task its own
   /// derived Rng, so search outcomes depend only on the task -- not on
   /// which worker ran it.

@@ -71,7 +71,7 @@ void RoundEngine::Run(uint64_t rounds) {
     for (auto& [name, actor] : actors_) actor(ctx);
     // Boundary drain: every intra-round event -- deferred deliveries
     // included -- runs before the metric probes observe the round.  An
-    // installed drainer (the sharded engine's partitioned drain) replaces
+    // installed drainer (the round engine's partitioned drain) replaces
     // the built-in serial one.
     const double boundary = ctx.time + round_length_;
     if (drain_phase_ != SIZE_MAX) {

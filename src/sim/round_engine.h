@@ -85,7 +85,7 @@ class RoundEngine {
     return "round.phase." + phase + ".ms";
   }
 
-  /// Installs a replacement for the round-boundary drain -- the sharded
+  /// Installs a replacement for the round-boundary drain -- the round
   /// engine's partitioned drain (EventQueue::DrainBoundaryPartitioned)
   /// plugs in here.  The drainer is called once per round with the
   /// boundary time and returns the number of events run; it must leave

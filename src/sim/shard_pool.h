@@ -1,4 +1,4 @@
-// Persistent worker pool for the sharded round engine.
+// Persistent worker pool for the round engine.
 //
 // The round loop's parallel phases (maintenance, queries, eviction,
 // updates) fan a fixed task list out over a small set of long-lived

@@ -112,7 +112,7 @@ class CounterRegistry {
   /// Adds `delta[id]` to each counter id in one pass.  `delta` is a flat
   /// per-id accumulation buffer (a shard lane) sized at most NumCounters();
   /// integer adds commute, so lanes can be merged in any order.  Used by
-  /// the sharded round engine to fold per-shard message accounting back
+  /// the round engine to fold per-shard message accounting back
   /// into the registry at a phase barrier.
   void MergeDelta(const std::vector<uint64_t>& delta) {
     size_t n = delta.size() < values_.size() ? delta.size() : values_.size();

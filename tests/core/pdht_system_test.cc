@@ -147,6 +147,23 @@ TEST(PdhtSystemTest, TtlQueryMissInsertsThenHits) {
             first.index_messages + first.unstructured_messages);
 }
 
+TEST(PdhtSystemTest, ColdIndexLearnsWithinTheFirstRound) {
+  // Query waves: the first query of each key executes and publishes (a
+  // miss re-inserts the key) before that key's repeats execute, so on an
+  // empty index a Zipf round's repeats already hit.  Without the waves
+  // every query of round 0 would miss against the round-start snapshot.
+  for (uint32_t threads : {1u, 4u}) {
+    SystemConfig c = BaseConfig(Strategy::kPartialTtl);
+    c.params.f_qry = 1.0;  // 400 Zipf queries over 800 keys in round 0
+    c.sim_threads = threads;
+    PdhtSystem sys(c);
+    ASSERT_EQ(sys.IndexedKeyCount(), 0u);
+    sys.RunRounds(1);
+    EXPECT_GT(sys.engine().Series(PdhtSystem::kSeriesHitRate).at(0), 0.5)
+        << "threads " << threads;
+  }
+}
+
 TEST(PdhtSystemTest, TtlEvictionPurgesIdleKeys) {
   SystemConfig c = BaseConfig(Strategy::kPartialTtl);
   c.key_ttl = 3.0;  // very short TTL
@@ -234,16 +251,28 @@ TEST(PdhtSystemTest, PGridBackendWorks) {
 }
 
 TEST(PdhtSystemTest, PopularityShiftDropsThenRecoversHitRate) {
-  PdhtSystem sys(BaseConfig(Strategy::kPartialTtl));
+  // Controlled comparison: an unshifted twin of the same run is the
+  // baseline for the post-shift rounds.  Four times the scaled key space
+  // keeps the index well short of holding every key (~1,200 of 3,200), so
+  // the shift moves most of the hot set out of the index.  Over seeds
+  // 1230-1239 the dip below the twin is 0.15-0.24 and the recovery above
+  // the dip 0.19-0.31.
+  SystemConfig c = BaseConfig(Strategy::kPartialTtl);
+  c.params.keys = 3200;
+  PdhtSystem sys(c);
+  PdhtSystem twin(c);
   sys.RunRounds(50);
-  double before = sys.TailHitRate(10);
+  twin.RunRounds(50);
   sys.ShiftPopularity();
   sys.RunRounds(3);
-  const auto& hits = sys.engine().Series(PdhtSystem::kSeriesHitRate);
-  double just_after = hits.MeanOver(50, 53);
+  twin.RunRounds(3);
+  double just_after =
+      sys.engine().Series(PdhtSystem::kSeriesHitRate).MeanOver(50, 53);
+  double unshifted =
+      twin.engine().Series(PdhtSystem::kSeriesHitRate).MeanOver(50, 53);
   sys.RunRounds(60);
   double recovered = sys.TailHitRate(10);
-  EXPECT_LT(just_after, before - 0.1);       // the shift hurt
+  EXPECT_LT(just_after, unshifted - 0.1);    // the shift hurt
   EXPECT_GT(recovered, just_after + 0.1);    // the index adapted
 }
 

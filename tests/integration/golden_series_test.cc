@@ -9,13 +9,16 @@
 // every counted message, every RNG draw and every eviction/order decision
 // has to be identical for these to match over a churned 24-round run.
 //
-// Last re-recorded when RandomOnlinePeer switched from rejection sampling
-// to one uniform draw over the network's dense online index (an
-// intentional stream change: one Rng value per call instead of a variable
-// number, and exactly uniform).  Only the query-origin-dependent series
-// moved -- hit rate, index growth, eviction and churn series were
-// bit-identical before and after, since origins affect path lengths, not
-// outcomes.
+// Last re-recorded when the legacy serial round loop was deleted and the
+// plan/execute/publish engine became the only one, with query waves (an
+// intentional stream change): queries are planned per online peer from
+// (seed, round, chunk) streams, each task draws from its own derived Rng,
+// and the first query of each key executes and publishes before that
+// key's repeats.  Maintenance runs as per-member tasks drawing from
+// per-chunk derived streams, and rejoins rebuild from per-peer streams.
+// The main stream lost the fork of the deleted serial walk searcher, so
+// the DHT member sample changed too; the churn-driven online fraction is
+// unchanged.
 //
 // If a future PR changes behaviour *intentionally* (new message type on a
 // counted path, different routing decision), re-record with the
@@ -23,11 +26,10 @@
 //   run a PdhtSystem at GoldenConfig(strategy) for kGoldenRounds, print
 //   engine().Series(name) for each series with %.17g.
 //
-// These recordings pin the *serial* round loop (sim_threads == 1).  The
-// sharded engine draws an intentionally different stream (queries are
-// planned up front); its own invariant -- bit-identical series and
-// snapshots at any --sim-threads / shard count -- is gated by
-// sharded_determinism_test.cc in this directory.
+// The recordings run the default engine setting (sim_threads = 1, every
+// phase inline); sharded_determinism_test.cc in this directory gates that
+// every other thread/shard setting reproduces the same stream bit for
+// bit.
 
 #include <cstdint>
 #include <functional>
@@ -90,63 +92,59 @@ void ExpectGolden(Strategy strategy, const std::vector<GoldenSeries>& golden,
 const std::vector<GoldenSeries>& PartialTtlGolden() {
   static const std::vector<GoldenSeries> golden = {
       {PdhtSystem::kSeriesMsgTotal,
-       {6301, 1731, 2055, 5813, 2220,
-        3091, 3829, 1319, 587, 1790,
-        3229, 1763, 876, 1146, 1811,
-        895, 1280, 1695, 1084, 1201,
-        762, 1746, 1796, 685}},
+       {2995, 2619, 3814, 4585, 3523,
+        2180, 1073, 2135, 2031, 1990,
+        721, 2017, 775, 768, 1043,
+        999, 3102, 704, 1144, 964,
+        578, 969, 1004, 1014}},
       {PdhtSystem::kSeriesMsgDht,
-       {333, 308, 267, 337, 298,
-        263, 344, 303, 142, 190,
-        219, 210, 274, 258, 248,
-        294, 299, 245, 265, 380,
-        269, 191, 301, 213}},
+       {354, 348, 388, 392, 312,
+        333, 304, 291, 341, 287,
+        236, 212, 221, 241, 299,
+        263, 232, 194, 270, 274,
+        250, 364, 401, 412}},
       {PdhtSystem::kSeriesMsgUnstructured,
-       {5047, 718, 1209, 4663, 1232,
-        2249, 2673, 291, 136, 1145,
-        2449, 1153, 128, 308, 1091,
-        94, 382, 1069, 200, 149,
-        147, 1171, 1059, 93}},
+       {1812, 1514, 2687, 3472, 2543,
+        1288, 264, 1228, 1130, 1178,
+        87, 1280, 138, 147, 149,
+        267, 2361, 130, 272, 181,
+        0, 206, 96, 48}},
       {PdhtSystem::kSeriesMsgReplica,
-       {846, 630, 504, 738, 540,
-        504, 738, 650, 234, 306,
-        486, 324, 398, 504, 324,
-        432, 522, 306, 470, 596,
-        270, 306, 360, 234}},
+       {756, 684, 666, 648, 522,
+        486, 432, 542, 486, 378,
+        324, 450, 342, 306, 450,
+        396, 434, 306, 454, 434,
+        252, 324, 432, 414}},
       {PdhtSystem::kSeriesMsgMaint,
-       {75, 75, 75, 75, 150,
-        75, 74, 75, 75, 149,
-        75, 76, 76, 76, 148,
-        75, 77, 75, 149, 76,
-        76, 78, 76, 145}},
+       {73, 73, 73, 73, 146,
+        73, 73, 74, 74, 147,
+        74, 75, 74, 74, 145,
+        73, 75, 74, 148, 75,
+        76, 75, 75, 140}},
       {PdhtSystem::kSeriesHitRate,
-       {0.51282051282051277, 0.59999999999999998, 0.74285714285714288,
-        0.62790697674418605, 0.80000000000000004,
-        0.77777777777777779, 0.68181818181818177, 0.78723404255319152,
-        0.80000000000000004, 0.86206896551724133,
-        0.69696969696969702, 0.87878787878787878, 0.88095238095238093,
-        0.78947368421052633, 0.92682926829268297,
-        0.88095238095238093, 0.78048780487804881, 0.94444444444444442,
-        0.85365853658536583, 0.89090909090909087,
-        0.92500000000000004, 0.89655172413793105, 0.93333333333333335,
-        0.91428571428571426}},
+       {0.45454545454545453, 0.59459459459459463, 0.65789473684210531,
+        0.80000000000000004, 0.625, 0.82222222222222219,
+        0.86046511627906974, 0.78048780487804881, 0.92452830188679247,
+        0.85365853658536583, 0.91891891891891897, 0.76666666666666672,
+        0.92500000000000004, 0.92500000000000004, 0.86363636363636365,
+        0.84615384615384615, 0.79411764705882348, 0.83870967741935487,
+        0.8571428571428571, 0.84615384615384615, 1,
+        0.90000000000000002, 0.875, 0.97872340425531912}},
       {PdhtSystem::kSeriesIndexSize,
-       {19, 33, 42, 58, 66,
-        74, 88, 98, 103, 107,
-        117, 121, 126, 134, 137,
-        142, 151, 153, 159, 165,
-        168, 171, 174, 177}},
+       {18, 33, 46, 55, 67,
+        75, 81, 90, 94, 100,
+        103, 110, 113, 116, 122,
+        128, 135, 140, 146, 152,
+        152, 156, 162, 163}},
       {PdhtSystem::kSeriesOnlineFraction,
        {0.81499999999999995, 0.81499999999999995, 0.81000000000000005,
-        0.81000000000000005, 0.81000000000000005,
-        0.81000000000000005, 0.80500000000000005, 0.81000000000000005,
-        0.81000000000000005, 0.80500000000000005,
-        0.80500000000000005, 0.80500000000000005, 0.81000000000000005,
-        0.81000000000000005, 0.80500000000000005,
+        0.81000000000000005, 0.81000000000000005, 0.81000000000000005,
         0.80500000000000005, 0.81000000000000005, 0.81000000000000005,
-        0.81999999999999995, 0.81499999999999995,
-        0.81000000000000005, 0.80500000000000005, 0.80000000000000004,
-        0.80000000000000004}},
+        0.80500000000000005, 0.80500000000000005, 0.80500000000000005,
+        0.81000000000000005, 0.81000000000000005, 0.80500000000000005,
+        0.80500000000000005, 0.81000000000000005, 0.81000000000000005,
+        0.81999999999999995, 0.81499999999999995, 0.81000000000000005,
+        0.80500000000000005, 0.80000000000000004, 0.80000000000000004}},
   };
   return golden;
 }
@@ -234,17 +232,17 @@ TEST(GoldenSeriesTest, LatencyDeliveryIsDeterministicAcrossThreadCounts) {
 TEST(GoldenSeriesTest, IndexAllRunIsBitIdenticalToRecording) {
   const std::vector<GoldenSeries> golden = {
       {PdhtSystem::kSeriesMsgTotal,
-       {1044, 1203, 1091, 1323, 1045,
-        1058, 1109, 1224, 948, 974,
-        1123, 980, 1083, 1007, 1260,
-        1100, 1059, 1206, 1102, 1201,
-        1001, 1128, 1125, 1030}},
+       {1050, 1141, 1104, 1422, 1107,
+        1287, 1227, 1239, 1371, 1189,
+        1288, 1043, 1187, 1204, 1376,
+        1177, 1114, 1268, 1079, 1181,
+        1237, 1466, 1304, 1405}},
       {PdhtSystem::kSeriesMsgDht,
-       {377, 392, 371, 423, 379,
-        338, 372, 377, 246, 273,
-        315, 315, 379, 341, 363,
-        362, 355, 308, 340, 440,
-        335, 305, 423, 345}},
+       {347, 366, 384, 396, 351,
+        387, 400, 356, 435, 362,
+        354, 288, 339, 340, 371,
+        331, 302, 298, 353, 348,
+        355, 427, 476, 504}},
       {PdhtSystem::kSeriesMsgUnstructured,
        {0, 0, 0, 0, 0,
         0, 0, 0, 0, 0,
@@ -252,11 +250,11 @@ TEST(GoldenSeriesTest, IndexAllRunIsBitIdenticalToRecording) {
         0, 0, 0, 0, 0,
         0, 0, 0, 0}},
       {PdhtSystem::kSeriesMsgReplica,
-       {504, 648, 558, 576, 504,
-        558, 576, 524, 540, 540,
-        486, 504, 542, 504, 576,
-        576, 542, 576, 598, 596,
-        504, 504, 540, 524}},
+       {540, 612, 558, 702, 594,
+        738, 666, 560, 774, 666,
+        612, 594, 686, 702, 684,
+        684, 650, 648, 562, 668,
+        720, 720, 666, 740}},
       {PdhtSystem::kSeriesMsgMaint,
        {163, 163, 162, 324, 162,
         162, 161, 323, 162, 161,
@@ -264,11 +262,14 @@ TEST(GoldenSeriesTest, IndexAllRunIsBitIdenticalToRecording) {
         162, 162, 322, 164, 165,
         162, 319, 162, 161}},
       {PdhtSystem::kSeriesHitRate,
-       {1, 1, 1, 1, 1,
-        1, 1, 1, 1, 1,
-        1, 1, 1, 1, 1,
-        1, 1, 1, 1, 1,
-        1, 1, 1, 1}},
+       {1, 1, 1,
+        1, 1, 1,
+        1, 1, 1,
+        1, 1, 1,
+        1, 1, 1,
+        1, 1, 1,
+        1, 1, 1,
+        1, 1, 1}},
       {PdhtSystem::kSeriesIndexSize,
        {400, 400, 400, 400, 400,
         400, 400, 400, 400, 400,
@@ -277,15 +278,13 @@ TEST(GoldenSeriesTest, IndexAllRunIsBitIdenticalToRecording) {
         400, 400, 400, 400}},
       {PdhtSystem::kSeriesOnlineFraction,
        {0.81499999999999995, 0.81499999999999995, 0.81000000000000005,
-        0.81000000000000005, 0.81000000000000005,
-        0.81000000000000005, 0.80500000000000005, 0.81000000000000005,
-        0.81000000000000005, 0.80500000000000005,
-        0.80500000000000005, 0.80500000000000005, 0.81000000000000005,
-        0.81000000000000005, 0.80500000000000005,
+        0.81000000000000005, 0.81000000000000005, 0.81000000000000005,
         0.80500000000000005, 0.81000000000000005, 0.81000000000000005,
-        0.81999999999999995, 0.81499999999999995,
-        0.81000000000000005, 0.80500000000000005, 0.80000000000000004,
-        0.80000000000000004}},
+        0.80500000000000005, 0.80500000000000005, 0.80500000000000005,
+        0.81000000000000005, 0.81000000000000005, 0.80500000000000005,
+        0.80500000000000005, 0.81000000000000005, 0.81000000000000005,
+        0.81999999999999995, 0.81499999999999995, 0.81000000000000005,
+        0.80500000000000005, 0.80000000000000004, 0.80000000000000004}},
   };
   ExpectGolden(Strategy::kIndexAll, golden);
 }

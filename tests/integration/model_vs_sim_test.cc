@@ -74,7 +74,7 @@ TEST(ModelVsSimTest, DhtLookupHopsNearCSIndx) {
   auto p = Scaled();
   CounterRegistry counters;
   net::Network net(&counters);
-  overlay::ChordOverlay chord(&net, Rng(13));
+  overlay::ChordOverlay chord(&net);
   std::vector<net::PeerId> members;
   for (uint32_t i = 0; i < p.num_peers; ++i) {
     members.push_back(i);
@@ -103,18 +103,17 @@ TEST(ModelVsSimTest, MaintenanceTrafficNearCRtn) {
   auto p = Scaled();
   CounterRegistry counters;
   net::Network net(&counters);
-  overlay::ChordOverlay chord(&net, Rng(17));
+  overlay::ChordOverlay chord(&net);
   std::vector<net::PeerId> members;
   for (uint32_t i = 0; i < p.num_peers; ++i) {
     members.push_back(i);
     net.SetOnline(i, true);
   }
   chord.SetMembers(members);
-  overlay::ChordMaintenance maint(&chord, &net, p.env, Rng(19));
   constexpr int kRounds = 50;
-  for (int r = 0; r < kRounds; ++r) maint.RunRound();
+  for (int r = 0; r < kRounds; ++r) chord.RunMaintenanceRound(p.env);
   double measured_per_round =
-      static_cast<double>(maint.stats().probes_sent) / kRounds;
+      static_cast<double>(chord.maintenance_stats().probes_sent) / kRounds;
   // Model: env * log2(nap) per peer; our tables carry log2(n)+2 fingers
   // plus successors, so allow a 3x corridor.
   double predicted_per_round =

@@ -1,30 +1,20 @@
-// Determinism contract of the sharded round engine: once sharding is on
-// (sim_threads > 1 or sim_shards > 0), every recorded series and every
-// snapshot metric is a pure function of (config, seed) -- the thread
-// count and the shard count only choose how the same work is scheduled.
+// Determinism contract of the round engine: every recorded series,
+// every snapshot metric and every routing-table bit is a pure function of
+// (config, seed) -- the thread count and the shard count only choose how
+// the same work is scheduled.  The default config (sim_threads = 1,
+// sim_shards = 0: every phase inline on the caller) is one cell of the
+// matrix, so the stream the golden-series recordings pin is the same
+// stream every parallel run reproduces.
 //
-// The engine earns this by splitting parallel phases into serial PLAN
-// (all main-stream Rng draws), parallel EXECUTE (per-task derived Rng
-// streams, per-worker counter lanes, buffered mutations) and serial
-// PUBLISH (order-sensitive effects replayed in global task order); see
-// docs/architecture.md "Sharded round engine".  These tests run the same
-// configuration at several --sim-threads / --sim-shards settings and
-// require bit-identical results, under both delivery models.
-//
-// Note the *serial* engine (sim_threads <= 1 and sim_shards == 0) is a
-// different, equally valid stream -- it interleaves Rng draws per query
-// instead of splitting planning from execution -- so it is pinned by the
-// golden-series recordings, not compared against the sharded runs here.
-//
-// Golden-series implication of the counting-sort planner: the sharded
-// engine's query plan now draws per-peer counts and keys from streams
-// keyed on (seed, round, peer) instead of burning main-stream draws per
-// query, so the sharded stream differs from pre-planner sharded
-// recordings.  That is within contract -- only the SERIAL stream is
-// golden-pinned (RunQueryActor's legacy sampling loop is untouched);
-// the sharded engine promises bit-identity across (threads, shards)
-// settings plus statistical agreement with the serial aggregates, and
-// both promises are asserted below.
+// The engine earns this by splitting every phase into PLAN (task lists
+// from per-chunk streams or fixed-order main-stream draws), EXECUTE
+// (per-task derived Rng streams, per-worker counter lanes, buffered
+// mutations) and PUBLISH (order-sensitive effects replayed in task
+// order); queries do it in two waves (first task of each key, then the
+// repeats).  See docs/architecture.md "Round engine".  These tests run
+// the same configuration at several sim_threads / sim_shards settings
+// and require bit-identical results, for all four backends, under both
+// delivery models and under trace replay.
 
 #include <algorithm>
 #include <cmath>
@@ -36,6 +26,9 @@
 #include <gtest/gtest.h>
 
 #include "core/pdht_system.h"
+#include "metadata/trace.h"
+#include "metadata/workload.h"
+#include "model/selection_model.h"
 
 namespace pdht::core {
 namespace {
@@ -70,8 +63,9 @@ struct RunRecord {
   uint64_t fingerprint = 0;
 };
 
-RunRecord RunOnce(const SystemConfig& config) {
+RunRecord RunOnce(const SystemConfig& config, bool shuffle_publish = false) {
   PdhtSystem system(config);
+  system.SetShufflePublishForTesting(shuffle_publish);
   system.RunRounds(kRounds);
   RunRecord rec;
   for (const std::string& name : system.engine().SeriesNames()) {
@@ -108,263 +102,204 @@ void ExpectIdentical(const RunRecord& a, const RunRecord& b,
   EXPECT_EQ(a.fingerprint, b.fingerprint) << label << ": routing tables";
 }
 
-SystemConfig Sharded(SystemConfig c, uint32_t threads, uint32_t shards) {
+SystemConfig Engine(SystemConfig c, uint32_t threads, uint32_t shards) {
   c.sim_threads = threads;
   c.sim_shards = shards;
   return c;
 }
 
+/// Runs `base` at its default engine setting (sim_threads = 1,
+/// sim_shards = 0) and at sim_threads {2, 4} x sim_shards {default, 4},
+/// requiring every cell to match the default bit for bit.  Returns the
+/// default run.
+RunRecord ExpectThreadInvariant(const SystemConfig& base,
+                                const std::string& label) {
+  RunRecord ref = RunOnce(Engine(base, 1, 0));
+  for (uint32_t threads : {2u, 4u}) {
+    for (uint32_t shards : {0u, 4u}) {
+      ExpectIdentical(ref, RunOnce(Engine(base, threads, shards)),
+                      label + " threads " + std::to_string(threads) +
+                          " shards " + std::to_string(shards));
+    }
+  }
+  return ref;
+}
+
+SystemConfig Latency(SystemConfig c) {
+  c.delivery_model = net::DeliveryModelKind::kLatency;
+  return c;
+}
+
 TEST(ShardedDeterminismTest, ImmediateThreadCountsAreBitIdentical) {
-  // sim_shards pinned so the eviction partition is fixed; only the
-  // worker count varies.
-  const SystemConfig base = BaseConfig(Strategy::kPartialTtl);
-  RunRecord one = RunOnce(Sharded(base, 1, 4));
-  RunRecord two = RunOnce(Sharded(base, 2, 4));
-  RunRecord four = RunOnce(Sharded(base, 4, 4));
-  ExpectIdentical(one, two, "immediate threads 1 vs 2");
-  ExpectIdentical(one, four, "immediate threads 1 vs 4");
+  ExpectThreadInvariant(BaseConfig(Strategy::kPartialTtl), "immediate");
 }
 
 TEST(ShardedDeterminismTest, LatencyThreadCountsAreBitIdentical) {
   // Deferred delivery is the hard case: per-message latencies are
   // float-summed and histogrammed, so publish order must be exact --
-  // lane buffers replay in global task order, not completion order.
-  SystemConfig base = BaseConfig(Strategy::kPartialTtl);
-  base.delivery_model = net::DeliveryModelKind::kLatency;
+  // lane buffers replay in task order, not completion order.
+  SystemConfig base = Latency(BaseConfig(Strategy::kPartialTtl));
   base.proximity_routing = false;
-  RunRecord one = RunOnce(Sharded(base, 1, 4));
-  RunRecord two = RunOnce(Sharded(base, 2, 4));
-  RunRecord four = RunOnce(Sharded(base, 4, 4));
-  ExpectIdentical(one, two, "latency threads 1 vs 2");
-  ExpectIdentical(one, four, "latency threads 1 vs 4");
+  const RunRecord ref = ExpectThreadInvariant(base, "latency");
   // The latency axis is genuinely exercised, not trivially empty.
-  EXPECT_GT(one.snap.latency.at(PdhtSystem::kMetricLookupRttCount), 0.0);
+  EXPECT_GT(ref.snap.latency.at(PdhtSystem::kMetricLookupRttCount), 0.0);
 }
 
 TEST(ShardedDeterminismTest, ShardCountsAreBitIdentical) {
-  // The shard count partitions the eviction sweep; evicted-key effects
-  // are commutative residency decrements, so any partition must produce
+  // The shard count partitions eviction, the per-origin tally and the
+  // boundary drain; their effects commute, so any partition must produce
   // the same run.  Covers both delivery models.
   const SystemConfig base = BaseConfig(Strategy::kPartialTtl);
-  ExpectIdentical(RunOnce(Sharded(base, 2, 1)),
-                  RunOnce(Sharded(base, 2, 4)),
+  ExpectIdentical(RunOnce(Engine(base, 2, 1)), RunOnce(Engine(base, 2, 4)),
                   "immediate shards 1 vs 4");
-  SystemConfig lat = base;
-  lat.delivery_model = net::DeliveryModelKind::kLatency;
+  SystemConfig lat = Latency(base);
   lat.proximity_routing = false;
-  ExpectIdentical(RunOnce(Sharded(lat, 2, 1)),
-                  RunOnce(Sharded(lat, 2, 4)),
+  ExpectIdentical(RunOnce(Engine(lat, 2, 1)), RunOnce(Engine(lat, 2, 4)),
                   "latency shards 1 vs 4");
 }
 
 TEST(ShardedDeterminismTest, UnstructuredOnlyStrategyIsThreadInvariant) {
   // kNoIndex runs pure random-walk queries -- the per-task Rng plus
   // per-worker searcher path with no DHT routing at all.
-  const SystemConfig base = BaseConfig(Strategy::kNoIndex);
-  ExpectIdentical(RunOnce(Sharded(base, 1, 4)),
-                  RunOnce(Sharded(base, 4, 4)),
-                  "noindex threads 1 vs 4");
+  ExpectThreadInvariant(BaseConfig(Strategy::kNoIndex), "noindex");
+}
+
+/// Maintenance and churn rejoins mutate routing tables from worker
+/// threads; the fingerprint (an order-sensitive hash over every member's
+/// table) must be bit-identical across the threads x shards matrix under
+/// both delivery models.  Churn is on in BaseConfig, so both the
+/// probe/repair path and the rejoin-rebuild path run.
+void ExpectBackendMatrix(DhtBackend backend) {
+  SystemConfig base = BaseConfig(Strategy::kPartialTtl);
+  base.backend = backend;
+  const std::string name = DhtBackendName(backend);
+  const RunRecord ref = ExpectThreadInvariant(base, name + " immediate");
+  EXPECT_NE(ref.fingerprint, 0u) << name;
+  ExpectThreadInvariant(Latency(base), name + " latency");
 }
 
 TEST(ShardedDeterminismTest, MaintenanceFingerprintMatrixChord) {
-  // Sharded maintenance + parallel churn rejoins mutate routing tables
-  // from worker threads; the fingerprint (an order-sensitive hash over
-  // every finger/successor of every member) must be bit-identical across
-  // the full threads x shards matrix.  Churn is on in BaseConfig, so
-  // both the probe/repair path and the rejoin-rebuild path run.
-  const SystemConfig base = BaseConfig(Strategy::kPartialTtl);
-  const RunRecord ref = RunOnce(Sharded(base, 1, 1));
-  EXPECT_NE(ref.fingerprint, 0u);
-  for (uint32_t threads : {2u, 4u}) {
-    for (uint32_t shards : {1u, 4u}) {
-      ExpectIdentical(ref, RunOnce(Sharded(base, threads, shards)),
-                      "chord fp threads " + std::to_string(threads) +
-                          " shards " + std::to_string(shards));
-    }
-  }
+  ExpectBackendMatrix(DhtBackend::kChord);
 }
 
 TEST(ShardedDeterminismTest, MaintenanceFingerprintMatrixPGrid) {
-  // P-Grid's sharded maintenance repairs reference lists from worker
-  // threads (each task writes only its own member's refs; candidate
-  // scans read the other members' frozen paths).  The fingerprint hashes
-  // every path and per-level reference list, so a single repair landing
-  // in a different slot at a different thread count would show.
-  SystemConfig base = BaseConfig(Strategy::kPartialTtl);
-  base.backend = DhtBackend::kPGrid;
-  const RunRecord ref = RunOnce(Sharded(base, 1, 1));
-  EXPECT_NE(ref.fingerprint, 0u);
-  for (uint32_t threads : {2u, 4u}) {
-    for (uint32_t shards : {1u, 4u}) {
-      ExpectIdentical(ref, RunOnce(Sharded(base, threads, shards)),
-                      "pgrid fp threads " + std::to_string(threads) +
-                          " shards " + std::to_string(shards));
-    }
-  }
+  // Each task writes only its own member's refs; candidate scans and
+  // rejoin rebuilds read the other members' frozen paths.
+  ExpectBackendMatrix(DhtBackend::kPGrid);
 }
 
 TEST(ShardedDeterminismTest, MaintenanceFingerprintMatrixCan) {
-  // CAN's maintenance is probe-only (zones and neighbor lists are static
-  // after SetMembers), so the fingerprint doubles as a check that the
-  // parallel phase never mutates shared geometry.
-  SystemConfig base = BaseConfig(Strategy::kPartialTtl);
-  base.backend = DhtBackend::kCan;
-  const RunRecord ref = RunOnce(Sharded(base, 1, 1));
-  EXPECT_NE(ref.fingerprint, 0u);
-  for (uint32_t threads : {2u, 4u}) {
-    for (uint32_t shards : {1u, 4u}) {
-      ExpectIdentical(ref, RunOnce(Sharded(base, threads, shards)),
-                      "can fp threads " + std::to_string(threads) +
-                          " shards " + std::to_string(shards));
-    }
-  }
-}
-
-TEST(ShardedDeterminismTest, EveryBackendHasShardedMaintenance) {
-  // The per-backend matrices above only bite if the sharded path is
-  // actually taken; pin the capability bit for all four backends.
-  for (DhtBackend backend : {DhtBackend::kChord, DhtBackend::kPGrid,
-                             DhtBackend::kCan, DhtBackend::kKademlia}) {
-    SystemConfig base = BaseConfig(Strategy::kPartialTtl);
-    base.backend = backend;
-    PdhtSystem system(Sharded(base, 2, 4));
-    ASSERT_NE(system.dht_overlay(), nullptr);
-    EXPECT_TRUE(system.dht_overlay()->has_sharded_maintenance())
-        << DhtBackendName(backend);
-  }
-}
-
-TEST(ShardedDeterminismTest, ShuffledPublishOrderIsBitIdentical) {
-  // debug_shuffle_publish perturbs every *commutative* publish slice --
-  // lane counter merges run last-to-first, the parallel per-origin stats
-  // pass visits shards in reversed order -- while leaving the ordered
-  // replay alone.  Bit-identical results prove the commutative/ordered
-  // split is sound: nothing order-sensitive leaked into the shuffled
-  // slices.  Covers both delivery models (deferred delivery additionally
-  // routes boundary-drain drop tallies through the lanes).
-  const SystemConfig base = BaseConfig(Strategy::kPartialTtl);
-  SystemConfig shuffled = base;
-  shuffled.debug_shuffle_publish = true;
-  ExpectIdentical(RunOnce(Sharded(base, 4, 4)),
-                  RunOnce(Sharded(shuffled, 4, 4)),
-                  "immediate shuffled publish");
-  SystemConfig lat = base;
-  lat.delivery_model = net::DeliveryModelKind::kLatency;
-  lat.proximity_routing = false;
-  SystemConfig lat_shuffled = lat;
-  lat_shuffled.debug_shuffle_publish = true;
-  ExpectIdentical(RunOnce(Sharded(lat, 4, 4)),
-                  RunOnce(Sharded(lat_shuffled, 4, 4)),
-                  "latency shuffled publish");
+  // Probe-only maintenance over static zones: the fingerprint doubles as
+  // a check that the parallel phase never mutates shared geometry.
+  ExpectBackendMatrix(DhtBackend::kCan);
 }
 
 TEST(ShardedDeterminismTest, MaintenanceFingerprintMatrixKademlia) {
-  // Kademlia's rejoin rebuild *draws* (bucket shuffles) run on worker
-  // threads under per-peer derived streams -- the strongest test of the
-  // parallel-rejoin stream discipline.  Covered under both delivery
-  // models: with latency + PNS the bucket contents come from RTT sorts,
-  // without it from Rng shuffles.
-  SystemConfig base = BaseConfig(Strategy::kPartialTtl);
-  base.backend = DhtBackend::kKademlia;
-  const RunRecord ref = RunOnce(Sharded(base, 1, 1));
-  EXPECT_NE(ref.fingerprint, 0u);
-  for (uint32_t threads : {2u, 4u}) {
-    for (uint32_t shards : {1u, 4u}) {
-      ExpectIdentical(ref, RunOnce(Sharded(base, threads, shards)),
-                      "kademlia fp threads " + std::to_string(threads) +
-                          " shards " + std::to_string(shards));
-    }
-  }
-  SystemConfig lat = base;
-  lat.delivery_model = net::DeliveryModelKind::kLatency;
-  ExpectIdentical(RunOnce(Sharded(lat, 1, 4)),
-                  RunOnce(Sharded(lat, 4, 4)),
-                  "kademlia latency fp threads 1 vs 4");
+  // Rejoin rebuild *draws* (bucket shuffles) run on worker threads under
+  // per-peer derived streams; with latency + PNS the bucket contents come
+  // from RTT sorts instead.
+  ExpectBackendMatrix(DhtBackend::kKademlia);
+}
+
+TEST(ShardedDeterminismTest, ShuffledPublishOrderIsBitIdentical) {
+  // The shuffle test hook perturbs every *commutative* publish slice --
+  // lane counter merges run last-to-first, the per-origin tally visits
+  // shards in reversed order -- while leaving the ordered replay alone.
+  // Bit-identical results prove the commutative/ordered split is sound.
+  // Covers both delivery models (deferred delivery additionally routes
+  // boundary-drain drop tallies through the lanes).
+  const SystemConfig base = Engine(BaseConfig(Strategy::kPartialTtl), 4, 4);
+  ExpectIdentical(RunOnce(base), RunOnce(base, /*shuffle_publish=*/true),
+                  "immediate shuffled publish");
+  SystemConfig lat = Latency(base);
+  lat.proximity_routing = false;
+  ExpectIdentical(RunOnce(lat), RunOnce(lat, /*shuffle_publish=*/true),
+                  "latency shuffled publish");
 }
 
 TEST(ShardedDeterminismTest, ProactiveUpdatesAreThreadInvariant) {
-  // kIndexAll exercises the sharded proactive-update actor (plan draws
-  // ranks serially, lookups + flood costing run parallel, replica Puts
-  // publish in task order) together with sharded maintenance.
+  // kIndexAll exercises the proactive-update phase (plan draws ranks
+  // serially, lookups + flood costing run parallel, replica Puts publish
+  // in task order) together with maintenance.
   const SystemConfig base = BaseConfig(Strategy::kIndexAll);
-  const RunRecord ref = RunOnce(Sharded(base, 1, 4));
-  ExpectIdentical(ref, RunOnce(Sharded(base, 2, 4)),
-                  "indexAll threads 1 vs 2");
-  ExpectIdentical(ref, RunOnce(Sharded(base, 4, 4)),
-                  "indexAll threads 1 vs 4");
+  const RunRecord ref = ExpectThreadInvariant(base, "indexAll");
   // Updates actually flowed: the replica-push series is non-trivial.
   EXPECT_GT(ref.snap.series_tail.at(PdhtSystem::kSeriesMsgReplica), 0.0);
-  SystemConfig lat = base;
-  lat.delivery_model = net::DeliveryModelKind::kLatency;
+  SystemConfig lat = Latency(base);
   lat.proximity_routing = false;
-  ExpectIdentical(RunOnce(Sharded(lat, 1, 4)),
-                  RunOnce(Sharded(lat, 4, 4)),
-                  "indexAll latency threads 1 vs 4");
+  ExpectThreadInvariant(lat, "indexAll latency");
 }
 
-TEST(ShardedDeterminismTest, AutoModeIsAnAliasNotAThirdStream) {
-  // sim_threads_auto must select one of the two existing engines, never
-  // invent a third stream: below the work floor it IS the serial run;
-  // above it (not reachable at this test's scale) it is the sharded run
-  // at some thread count, which the matrix above already pins.
-  const SystemConfig base = BaseConfig(Strategy::kPartialTtl);
-  SystemConfig autod = base;
-  autod.sim_threads_auto = true;
-  ExpectIdentical(RunOnce(base), RunOnce(autod),
-                  "auto(small) vs explicit serial");
+TEST(ShardedDeterminismTest, TraceReplayIsThreadInvariant) {
+  // Trace replay plans from the trace instead of the per-peer Zipf
+  // streams; each entry's origin comes off its own derived stream, so
+  // the plan is thread-invariant too.
+  SystemConfig base = BaseConfig(Strategy::kPartialTtl);
+  metadata::QueryWorkload workload(base.params.keys, base.params.alpha,
+                                   Rng(321));
+  const metadata::QueryTrace trace = metadata::QueryTrace::Synthesize(
+      workload, kRounds, base.params.num_peers, base.params.f_qry);
+  base.trace = &trace;
+  const RunRecord ref = ExpectThreadInvariant(base, "trace");
+  EXPECT_GT(ref.snap.series_tail.at(PdhtSystem::kSeriesHitRate), 0.0);
+  ExpectThreadInvariant(Latency(base), "trace latency");
 }
 
-TEST(ShardedDeterminismTest, ShardedEngineMatchesSerialAggregates) {
-  // The sharded stream is different from the serial stream by design,
-  // but it must still simulate the same system: sanity-band checks that
-  // catch gross divergence (e.g. dropped queries, double-counted hits).
-  const SystemConfig base = BaseConfig(Strategy::kPartialTtl);
-  RunRecord serial = RunOnce(base);  // sim_threads=1, sim_shards=0
-  RunRecord sharded = RunOnce(Sharded(base, 4, 16));
-  const double serial_hit =
-      serial.snap.series_tail.at(PdhtSystem::kSeriesHitRate);
-  const double sharded_hit =
-      sharded.snap.series_tail.at(PdhtSystem::kSeriesHitRate);
-  EXPECT_NEAR(serial_hit, sharded_hit, 0.15);
-  const double serial_msg =
-      serial.snap.series_tail.at(PdhtSystem::kSeriesMsgTotal);
-  const double sharded_msg =
-      sharded.snap.series_tail.at(PdhtSystem::kSeriesMsgTotal);
-  EXPECT_LT(std::abs(serial_msg - sharded_msg),
-            0.5 * std::max(serial_msg, sharded_msg));
-}
-
-TEST(ShardedDeterminismTest, CountingSortPlannerMatchesLegacyStatistics) {
-  // The sharded planner replaces the legacy serial plan (one binomial
-  // count draw + one origin draw + one key draw per query, all off the
-  // main stream) with per-peer floor(rate) + Bernoulli counts and
-  // per-peer key streams.  Same aggregate model: expected queries per
-  // round = num_peers * f_qry either way (the per-peer rate spreads it
-  // over the online population), keys Zipf(alpha) either way, origins
-  // uniform over online peers either way (each online peer issues its
-  // own queries).  The serial engine still runs the legacy sampling, so
-  // comparing tail aggregates across the engines checks the new planner
-  // against the old statistics on live runs.  Wider coverage than the
-  // aggregate test above: every strategy's dispatch path.
-  for (Strategy strategy :
-       {Strategy::kPartialTtl, Strategy::kPartialIdeal, Strategy::kNoIndex}) {
-    const SystemConfig base = BaseConfig(strategy);
-    RunRecord serial = RunOnce(base);
-    RunRecord sharded = RunOnce(Sharded(base, 4, 4));
-    const double serial_msg =
-        serial.snap.series_tail.at(PdhtSystem::kSeriesMsgTotal);
-    const double sharded_msg =
-        sharded.snap.series_tail.at(PdhtSystem::kSeriesMsgTotal);
-    EXPECT_GT(sharded_msg, 0.0) << static_cast<int>(strategy);
-    EXPECT_LT(std::abs(serial_msg - sharded_msg),
-              0.5 * std::max(serial_msg, sharded_msg))
-        << "strategy " << static_cast<int>(strategy);
-    const double serial_hit =
-        serial.snap.series_tail.at(PdhtSystem::kSeriesHitRate);
-    const double sharded_hit =
-        sharded.snap.series_tail.at(PdhtSystem::kSeriesHitRate);
-    EXPECT_NEAR(serial_hit, sharded_hit, 0.2)
-        << "strategy " << static_cast<int>(strategy);
+TEST(ShardedDeterminismTest, PerStrategySanityBandAgainstModel) {
+  // Aggregate sanity against the analytical model, catching dropped or
+  // double-counted queries and hits: the per-origin tallies must add up
+  // to the planned query volume (num_peers * f_qry per round in
+  // expectation), and each strategy's hit rate must sit where the model
+  // puts it.  Runs at 4 threads -- the matrix above ties every thread
+  // count to the same numbers.
+  constexpr uint64_t kBandRounds = 60;
+  for (Strategy strategy : {Strategy::kNoIndex, Strategy::kIndexAll,
+                            Strategy::kPartialIdeal, Strategy::kPartialTtl}) {
+    const SystemConfig config = Engine(BaseConfig(strategy), 4, 0);
+    PdhtSystem system(config);
+    system.RunRounds(kBandRounds);
+    uint64_t queries = 0;
+    uint64_t hits = 0;
+    for (net::PeerId peer = 0; peer < config.params.num_peers; ++peer) {
+      queries += system.NodeOf(peer).queries_sent();
+      hits += system.NodeOf(peer).hits();
+    }
+    const std::string name = StrategyName(strategy);
+    const double expected_queries = static_cast<double>(kBandRounds) *
+                                    static_cast<double>(
+                                        config.params.num_peers) *
+                                    config.params.f_qry;
+    EXPECT_NEAR(static_cast<double>(queries), expected_queries,
+                0.1 * expected_queries)
+        << name;
+    const double hit_rate =
+        static_cast<double>(hits) / static_cast<double>(queries);
+    const model::SelectionModel sel(config.params);
+    switch (strategy) {
+      case Strategy::kNoIndex:
+        EXPECT_EQ(hits, 0u) << name;
+        break;
+      case Strategy::kIndexAll:
+        EXPECT_GT(hit_rate, 0.9) << name;
+        break;
+      case Strategy::kPartialIdeal:
+        // Index-first queries are exactly the top OracleMaxRank keys,
+        // each preloaded forever: the hit rate is their Zipf mass.
+        EXPECT_NEAR(hit_rate,
+                    sel.cost_model().zipf().Cdf(system.OracleMaxRank()),
+                    0.1)
+            << name;
+        break;
+      case Strategy::kPartialTtl:
+        // Eq. 14: the query-weighted probability a key is indexed, which
+        // the cold start and churn can only pull down.
+        EXPECT_GT(hit_rate, 0.5) << name;
+        EXPECT_LT(hit_rate,
+                  sel.PIndxd(config.params.f_qry, system.EffectiveKeyTtl()) +
+                      0.1)
+            << name;
+        break;
+    }
   }
 }
 

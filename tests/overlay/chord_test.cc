@@ -12,8 +12,8 @@ namespace pdht::overlay {
 namespace {
 
 struct ChordFixture {
-  explicit ChordFixture(uint32_t n, uint64_t seed = 1)
-      : net(&counters), chord(&net, Rng(seed)) {
+  explicit ChordFixture(uint32_t n)
+      : net(&counters), chord(&net) {
     std::vector<net::PeerId> members;
     for (uint32_t i = 0; i < n; ++i) {
       members.push_back(i);
@@ -122,7 +122,7 @@ TEST(ChordTest, LookupHopsAreLogarithmic) {
   // Eq. 7: expected lookup cost ~ 0.5*log2(n) hops.  Allow generous slack
   // for the ring's randomness but pin the order of magnitude.
   constexpr uint32_t kN = 1024;
-  ChordFixture f(kN, 3);
+  ChordFixture f(kN);
   pdht::Histogram hops;
   Rng pick(17);
   for (int trial = 0; trial < 500; ++trial) {
@@ -157,7 +157,7 @@ TEST(ChordTest, LookupRoutesAroundOfflineOwner) {
 }
 
 TEST(ChordTest, LookupSurvivesStaleFingersUnderChurn) {
-  ChordFixture f(256, 5);
+  ChordFixture f(256);
   // Knock 25% of members offline without any repair.
   Rng off(9);
   std::vector<bool> down(256, false);
@@ -183,7 +183,7 @@ TEST(ChordTest, LookupSurvivesStaleFingersUnderChurn) {
 }
 
 TEST(ChordTest, FailedProbesCostMessages) {
-  ChordFixture f(128, 7);
+  ChordFixture f(128);
   Rng off(13);
   for (uint32_t i = 0; i < 128; ++i) {
     if (off.Bernoulli(0.3)) f.net.SetOnline(i, false);
@@ -250,7 +250,7 @@ TEST(ChordTest, RandomOnlineMemberAllOffline) {
 }
 
 TEST(ChordTest, StaleFingerFractionTracksChurn) {
-  ChordFixture f(200, 21);
+  ChordFixture f(200);
   EXPECT_DOUBLE_EQ(f.chord.StaleFingerFraction(), 0.0);
   Rng off(5);
   for (uint32_t i = 0; i < 200; ++i) {
@@ -276,7 +276,7 @@ class ChordSizeSweep : public ::testing::TestWithParam<uint32_t> {};
 
 TEST_P(ChordSizeSweep, AllLookupsSucceedOnStaticRing) {
   uint32_t n = GetParam();
-  ChordFixture f(n, n);
+  ChordFixture f(n);
   Rng pick(n * 3 + 1);
   for (int trial = 0; trial < 60; ++trial) {
     net::PeerId origin = static_cast<net::PeerId>(pick.UniformU64(n));

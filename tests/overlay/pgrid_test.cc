@@ -260,10 +260,15 @@ TEST(PGridTest, TableSizeNonZeroAfterBuild) {
   EXPECT_EQ(f.grid.TableSize(9999), 0u);
 }
 
-TEST(PGridTest, RefreshNodeRebuildsRefs) {
+TEST(PGridTest, RejoinNodeRebuildsRefs) {
   PGridFixture f(64);
-  f.grid.RefreshNode(0);
+  Rng rng(3);
+  f.grid.RejoinNode(0, rng);
   EXPECT_GT(f.grid.TableSize(0), 0u);
+  // A non-member rejoin is a no-op: it must not insert a member.
+  f.grid.RejoinNode(9999, rng);
+  EXPECT_FALSE(f.grid.IsMember(9999));
+  EXPECT_EQ(f.grid.num_members(), 64u);
 }
 
 TEST(PGridTest, SingleMemberDegenerate) {
