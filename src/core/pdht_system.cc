@@ -78,16 +78,6 @@ PdhtSystem::PdhtSystem(const SystemConfig& config)
     : config_(config), rng_(config.seed), engine_(1.0),
       autotuner_(config.autotuner) {
   assert(config_.Validate().empty());
-  // One sample per query: unbounded at paper scale, so retain nothing --
-  // P² sketches track exactly the probabilities Snapshot() surfaces in
-  // O(1) memory (moments stay exact), which is what keeps per-lookup
-  // latency accounting flat at the 100k-1M peer scenarios.
-  lookup_rtt_ms_.TrackStreamingQuantiles({0.5, 0.95, 0.99});
-  lookup_direct_ms_.TrackStreamingQuantiles({});  // mean-only (stretch)
-  lookup_hops_.TrackStreamingQuantiles({0.95});
-  for (Histogram& h : hop_rtt_ms_) {
-    h.TrackStreamingQuantiles({});  // mean-only, O(1) memory per hop bucket
-  }
   DeriveSettings();
   BuildSubstrates();
   SelectDhtMembers();
@@ -494,7 +484,6 @@ QueryOutcome PdhtSystem::ExecuteQuery(uint64_t key) {
   query_tasks_.assign(1, MakeQueryTask(key, out.origin));
   query_results_.resize(1);
   wave_order_.assign(1, 0);
-  if (overlay_) overlay_->members();
   const uint64_t seed = Mix64(HashCombine(
       HashCombine(config_.seed, 0x61646863ULL), ++adhoc_queries_));  // "adhc"
   ExecuteQueryTasks(seed, 0, 1);
@@ -739,9 +728,6 @@ void PdhtSystem::RunQueryActor(sim::RoundContext& ctx) {
   round_queries_ = query_tasks_.size();
   round_hits_ = 0;
   if (query_tasks_.empty()) return;
-  // Warm lazily-built shared read state serially (e.g. Chord's mutable
-  // members cache) so the execute phase only ever reads it.
-  if (overlay_) overlay_->members();
   query_results_.resize(query_tasks_.size());
   const size_t bounds[] = {0, wave0_size_, query_tasks_.size()};
   for (size_t wave = 0; wave < 2; ++wave) {
@@ -1079,7 +1065,6 @@ void PdhtSystem::RunUpdateActor(sim::RoundContext& /*ctx*/) {
                                 : workload_->KeyAtRank(rank));
   }
   if (update_tasks_.empty()) return;
-  if (overlay_) overlay_->members();  // warm shared read caches serially
   const uint64_t upd_seed =
       Mix64(HashCombine(round_seed_, 0x75706474ULL));  // "updt"
   const size_t num_counters = engine_.counters().NumCounters();

@@ -29,10 +29,6 @@ Network::Network(CounterRegistry* counters) : counters_(counters) {
   dropped_id_ = counters_->Intern("net.delivery.dropped");
   timeout_id_ = counters_->Intern("net.timeout");
   failover_id_ = counters_->Intern("net.failover");
-  // One latency sample lands here per deferred message -- an unbounded
-  // stream at paper scale -- so bound the per-type retention; moments
-  // stay exact and quantiles degrade to systematic-subsample estimates.
-  for (Histogram& h : type_latency_ms_) h.SetSampleCap(1 << 16);
 }
 
 void Network::EnsureSlot(PeerId peer) {

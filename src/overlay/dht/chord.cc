@@ -54,15 +54,17 @@ uint64_t ChordOverlay::RoutingFingerprint() const {
 void ChordOverlay::SetMembers(const std::vector<net::PeerId>& members) {
   ring_.clear();
   peer_to_index_.clear();
-  members_cache_valid_ = false;
   ring_.reserve(members.size());
   for (net::PeerId p : members) {
     ring_.push_back(Member{PeerToNodeId(p), p, FingerTable{}});
   }
   std::sort(ring_.begin(), ring_.end(),
             [](const Member& a, const Member& b) { return a.id < b.id; });
+  members_.clear();
+  members_.reserve(ring_.size());
   for (size_t i = 0; i < ring_.size(); ++i) {
     peer_to_index_[ring_[i].peer] = i;
+    members_.push_back(ring_[i].peer);
   }
   for (auto& m : ring_) BuildTable(m);
   mean_rtt_ms_ = 0.0;
@@ -132,11 +134,11 @@ void ChordOverlay::AddMember(net::PeerId peer) {
       [](const Member& m, NodeId v) { return m.id < v; });
   size_t pos = static_cast<size_t>(it - ring_.begin());
   ring_.insert(it, std::move(nm));
+  members_.insert(members_.begin() + static_cast<long>(pos), peer);
   peer_to_index_.clear();
   for (size_t i = 0; i < ring_.size(); ++i) {
     peer_to_index_[ring_[i].peer] = i;
   }
-  members_cache_valid_ = false;
   BuildTable(ring_[pos]);
   // Join traffic: Chord's join costs O(log^2 n) messages to populate the
   // new node's table and notify affected nodes.  Count it explicitly.
@@ -163,27 +165,17 @@ void ChordOverlay::RemoveMember(net::PeerId peer) {
   auto it = peer_to_index_.find(peer);
   if (it == peer_to_index_.end()) return;
   ring_.erase(ring_.begin() + static_cast<long>(it->second));
+  members_.erase(members_.begin() + static_cast<long>(it->second));
   peer_to_index_.clear();
   for (size_t i = 0; i < ring_.size(); ++i) {
     peer_to_index_[ring_[i].peer] = i;
   }
-  members_cache_valid_ = false;
   // Entries pointing at the departed peer are repaired lazily by
   // maintenance (or eagerly here for tests via RefreshNode).
 }
 
 bool ChordOverlay::IsMember(net::PeerId peer) const {
   return peer_to_index_.count(peer) > 0;
-}
-
-const std::vector<net::PeerId>& ChordOverlay::members_sorted_by_id() const {
-  if (!members_cache_valid_) {
-    members_cache_.clear();
-    members_cache_.reserve(ring_.size());
-    for (const auto& m : ring_) members_cache_.push_back(m.peer);
-    members_cache_valid_ = true;
-  }
-  return members_cache_;
 }
 
 net::PeerId ChordOverlay::ResponsibleMember(uint64_t key) const {

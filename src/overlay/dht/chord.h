@@ -53,9 +53,9 @@ class ChordOverlay : public StructuredOverlay {
 
   bool IsMember(net::PeerId peer) const override;
   size_t num_members() const override { return ring_.size(); }
-  const std::vector<net::PeerId>& members_sorted_by_id() const;
+  /// Members in ring (id) order.
   const std::vector<net::PeerId>& members() const override {
-    return members_sorted_by_id();
+    return members_;
   }
 
   /// The member responsible for `key`: successor(KeyToNodeId(key)).
@@ -146,9 +146,8 @@ class ChordOverlay : public StructuredOverlay {
   uint32_t successor_list_size_;
   std::vector<Member> ring_;  // sorted by id
   std::unordered_map<net::PeerId, size_t> peer_to_index_;
+  std::vector<net::PeerId> members_;  // ring_[i].peer, kept in step
   std::unique_ptr<ChordMaintenance> maint_;
-  mutable std::vector<net::PeerId> members_cache_;
-  mutable bool members_cache_valid_ = false;
 
   /// Mean link RTT sampled over member pairs at SetMembers time (only
   /// with the PeerRtt oracle installed); feeds ProgressWeightMs.

@@ -8,7 +8,7 @@ ChordMaintenance::ChordMaintenance(ChordOverlay* overlay,
 
 uint32_t ChordMaintenance::PlanRound() {
   tasks_.clear();
-  for (net::PeerId peer : overlay_->members_sorted_by_id()) {
+  for (net::PeerId peer : overlay_->members()) {
     if (!network_->IsOnline(peer)) continue;
     FingerTable* table = overlay_->TableOf(peer);
     if (table == nullptr || table->size() == 0) continue;

@@ -49,25 +49,25 @@ FloodResult FloodSearch::Search(net::PeerId origin, uint64_t key,
       if (!delivered || seen[nbr]) continue;
       seen[nbr] = true;
       ++result.peers_reached;
-      if (oracle_(nbr, key)) {
-        if (!result.found) {
-          result.found = true;
-          result.found_at = nbr;
-          result.hops_to_hit = h.depth + 1;
-          // Response travels back to the originator: one message in the
-          // model (responses are routed on the reverse path but the paper
-          // counts the query traffic; we count a single response msg).
-          net::Message resp;
-          resp.type = net::MessageType::kQueryResponse;
-          resp.from = nbr;
-          resp.to = origin;
-          resp.key = key;
-          resp.tag = request_id;
-          network_->Send(resp);
-        }
-        // Keep flooding: Gnutella queries are not cancelled mid-flight;
-        // the remaining wavefront cost is genuine.
+      // Only the first hit is answered, so the content oracle is asked
+      // only until then.
+      if (!result.found && oracle_(nbr, key)) {
+        result.found = true;
+        result.found_at = nbr;
+        result.hops_to_hit = h.depth + 1;
+        // Response travels back to the originator: one message in the
+        // model (responses are routed on the reverse path but the paper
+        // counts the query traffic; we count a single response msg).
+        net::Message resp;
+        resp.type = net::MessageType::kQueryResponse;
+        resp.from = nbr;
+        resp.to = origin;
+        resp.key = key;
+        resp.tag = request_id;
+        network_->Send(resp);
       }
+      // Keep flooding: Gnutella queries are not cancelled mid-flight;
+      // the remaining wavefront cost is genuine.
       frontier.push_back({nbr, h.depth + 1});
     }
   }

@@ -12,61 +12,27 @@ ReplicaPlacement::ReplicaPlacement(uint32_t num_peers, uint32_t repl, Rng rng)
 }
 
 void ReplicaPlacement::PlaceKey(uint64_t key) {
-  if (replicas_.count(key)) return;
-  uint32_t want = std::min(repl_, num_peers_);
-  std::vector<net::PeerId> chosen;
-  chosen.reserve(want);
-  while (chosen.size() < want) {
+  const uint32_t want = std::min(repl_, num_peers_);
+  // Draw until `want` distinct peers hold the key; a peer drawn twice
+  // already holds it and is skipped.
+  for (uint32_t placed = 0; placed < want;) {
     net::PeerId p = static_cast<net::PeerId>(rng_.UniformU64(num_peers_));
-    if (std::find(chosen.begin(), chosen.end(), p) == chosen.end()) {
-      chosen.push_back(p);
-      std::vector<uint64_t>& held = held_[p];
-      held.insert(std::lower_bound(held.begin(), held.end(), key), key);
-    }
+    std::vector<uint64_t>& held = held_[p];
+    auto it = std::lower_bound(held.begin(), held.end(), key);
+    if (it != held.end() && *it == key) continue;
+    held.insert(it, key);
+    ++placed;
   }
-  replicas_.emplace(key, std::move(chosen));
 }
 
 void ReplicaPlacement::PlaceKeys(uint64_t n) {
   for (uint64_t k = 0; k < n; ++k) PlaceKey(k);
 }
 
-bool ReplicaPlacement::IsPlaced(uint64_t key) const {
-  return replicas_.count(key) > 0;
-}
-
 bool ReplicaPlacement::PeerHoldsKey(net::PeerId peer, uint64_t key) const {
   if (peer >= held_.size()) return false;
   const std::vector<uint64_t>& held = held_[peer];
   return std::binary_search(held.begin(), held.end(), key);
-}
-
-const std::vector<net::PeerId>& ReplicaPlacement::ReplicasOf(
-    uint64_t key) const {
-  auto it = replicas_.find(key);
-  return it == replicas_.end() ? empty_ : it->second;
-}
-
-void ReplicaPlacement::RemoveKey(uint64_t key) {
-  auto it = replicas_.find(key);
-  if (it == replicas_.end()) return;
-  for (net::PeerId p : it->second) {
-    std::vector<uint64_t>& held = held_[p];
-    auto kit = std::lower_bound(held.begin(), held.end(), key);
-    if (kit != held.end() && *kit == key) held.erase(kit);
-  }
-  replicas_.erase(it);
-}
-
-double ReplicaPlacement::OnlineReplicaFraction(
-    uint64_t key, const std::vector<bool>& alive) const {
-  const auto& reps = ReplicasOf(key);
-  if (reps.empty()) return 0.0;
-  uint32_t online = 0;
-  for (net::PeerId p : reps) {
-    if (p < alive.size() && alive[p]) ++online;
-  }
-  return static_cast<double>(online) / static_cast<double>(reps.size());
 }
 
 }  // namespace pdht::overlay

@@ -10,7 +10,6 @@
 #define PDHT_OVERLAY_UNSTRUCTURED_REPLICATION_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "net/message.h"
@@ -24,39 +23,26 @@ class ReplicaPlacement {
   /// num_peers) distinct replicas.
   ReplicaPlacement(uint32_t num_peers, uint32_t repl, Rng rng);
 
-  /// Places `key` (idempotent: re-placing keeps the existing placement).
+  /// Places `key` on fresh random replicas; place each key once.
   void PlaceKey(uint64_t key);
 
   /// Places keys 0..n-1 densely (the common bulk setup).
   void PlaceKeys(uint64_t n);
 
-  bool IsPlaced(uint64_t key) const;
   bool PeerHoldsKey(net::PeerId peer, uint64_t key) const;
-  const std::vector<net::PeerId>& ReplicasOf(uint64_t key) const;
-
-  /// Removes a key entirely (content deleted from the network).
-  void RemoveKey(uint64_t key);
 
   uint32_t repl() const { return repl_; }
   uint32_t num_peers() const { return num_peers_; }
-  size_t num_keys() const { return replicas_.size(); }
-
-  /// Fraction of `key`'s replicas that are online according to `alive`.
-  double OnlineReplicaFraction(uint64_t key,
-                               const std::vector<bool>& alive) const;
 
  private:
   uint32_t num_peers_;
   uint32_t repl_;
   Rng rng_;
-  std::unordered_map<uint64_t, std::vector<net::PeerId>> replicas_;
   // peer -> sorted keys.  PeerHoldsKey is the walk search's content
   // oracle, probed once per walker step, and a binary search over the
   // ~keys*repl/numPeers contiguous keys a peer holds beats a hash-set
-  // probe there; placement mutations are rare (bulk setup + occasional
-  // RemoveKey).
+  // probe there.
   std::vector<std::vector<uint64_t>> held_;
-  std::vector<net::PeerId> empty_;
 };
 
 }  // namespace pdht::overlay

@@ -7,99 +7,13 @@
 
 namespace pdht {
 
-P2Quantile::P2Quantile(double q) : q_(q) {
-  assert(q > 0.0 && q < 1.0);
-  Reset();
-}
-
-void P2Quantile::Reset() {
-  count_ = 0;
-  for (int i = 0; i < 5; ++i) {
-    heights_[i] = 0.0;
-    positions_[i] = static_cast<double>(i + 1);
-  }
-  desired_[0] = 1.0;
-  desired_[1] = 1.0 + 2.0 * q_;
-  desired_[2] = 1.0 + 4.0 * q_;
-  desired_[3] = 3.0 + 2.0 * q_;
-  desired_[4] = 5.0;
-  rates_[0] = 0.0;
-  rates_[1] = q_ / 2.0;
-  rates_[2] = q_;
-  rates_[3] = (1.0 + q_) / 2.0;
-  rates_[4] = 1.0;
-}
-
-void P2Quantile::Add(double value) {
-  if (count_ < 5) {
-    heights_[count_++] = value;
-    if (count_ == 5) std::sort(heights_, heights_ + 5);
-    return;
-  }
-  // Locate the cell k such that h[k] <= value < h[k+1], extending the
-  // extreme markers when the observation falls outside them.
-  int k;
-  if (value < heights_[0]) {
-    heights_[0] = value;
-    k = 0;
-  } else if (value >= heights_[4]) {
-    heights_[4] = value;
-    k = 3;
-  } else {
-    k = 0;
-    while (k < 3 && value >= heights_[k + 1]) ++k;
-  }
-  for (int i = k + 1; i < 5; ++i) positions_[i] += 1.0;
-  for (int i = 0; i < 5; ++i) desired_[i] += rates_[i];
-  ++count_;
-  // Adjust the three interior markers toward their desired positions.
-  for (int i = 1; i <= 3; ++i) {
-    double d = desired_[i] - positions_[i];
-    double below = positions_[i] - positions_[i - 1];
-    double above = positions_[i + 1] - positions_[i];
-    if ((d >= 1.0 && above > 1.0) || (d <= -1.0 && below > 1.0)) {
-      double s = d >= 0.0 ? 1.0 : -1.0;
-      // Piecewise-parabolic prediction of the new height.
-      double hp =
-          heights_[i] +
-          s / (positions_[i + 1] - positions_[i - 1]) *
-              ((below + s) * (heights_[i + 1] - heights_[i]) / above +
-               (above - s) * (heights_[i] - heights_[i - 1]) / below);
-      if (hp <= heights_[i - 1] || hp >= heights_[i + 1]) {
-        // Parabola would violate marker ordering: use linear interpolation
-        // toward the neighbour in the adjustment direction.
-        int j = i + static_cast<int>(s);
-        hp = heights_[i] + s * (heights_[j] - heights_[i]) /
-                               (positions_[j] - positions_[i]);
-      }
-      heights_[i] = hp;
-      positions_[i] += s;
-    }
-  }
-}
-
-double P2Quantile::Value() const {
-  if (count_ == 0) return 0.0;
-  if (count_ < 5) {
-    // Exact nearest-rank over the (unsorted) initial buffer.
-    double tmp[5];
-    std::copy(heights_, heights_ + count_, tmp);
-    std::sort(tmp, tmp + count_);
-    size_t idx = static_cast<size_t>(q_ * static_cast<double>(count_));
-    if (idx >= count_) idx = count_ - 1;
-    return tmp[idx];
-  }
-  return heights_[2];
-}
-
-void Histogram::TrackStreamingQuantiles(std::initializer_list<double> qs) {
-  assert(count_ == 0 && "set streaming mode before adding data");
-  streaming_ = true;
-  sketches_.clear();
-  for (double q : qs) sketches_.emplace_back(q);
-}
+// Scaling a frexp fraction by 2 * kSubBuckets must be exact.
+static_assert((Histogram::kSubBuckets & (Histogram::kSubBuckets - 1)) == 0,
+              "kSubBuckets must be a power of two");
 
 void Histogram::Add(double value) {
+  assert(value >= 0.0 && std::isfinite(value) &&
+         "Histogram records finite, non-negative samples");
   ++count_;
   sum_ += value;
   double delta = value - mean_;
@@ -111,28 +25,28 @@ void Histogram::Add(double value) {
     min_ = std::min(min_, value);
     max_ = std::max(max_, value);
   }
-  if (streaming_) {
-    for (P2Quantile& s : sketches_) s.Add(value);
-  } else if (sample_cap_ == 0) {
-    values_.push_back(value);
-  } else {
-    // Systematic retention: keep every stride-th observation; once the
-    // buffer outgrows the cap, decimate 2x and double the stride.  The
-    // kept values are a deterministic uniform subsample, so quantile
-    // estimates stay unbiased while memory is bounded by the cap.
-    if (stride_pos_ == 0) {
-      values_.push_back(value);
-      if (values_.size() > sample_cap_) {
-        for (size_t i = 1; 2 * i < values_.size(); ++i) {
-          values_[i] = values_[2 * i];
-        }
-        values_.resize((values_.size() + 1) / 2);
-        stride_ *= 2;
-      }
-    }
-    if (++stride_pos_ >= stride_) stride_pos_ = 0;
+  if (!(value > 0.0)) {
+    ++zeros_;
+    return;
   }
-  sorted_ = false;
+  // value = frac * 2^exp with frac in [0.5, 1): the sub-bucket is the
+  // top log2(kSubBuckets) bits after the leading one, exact in binary.
+  int exp = 0;
+  const double frac = std::frexp(value, &exp);
+  const int sub = static_cast<int>(frac * (2 * kSubBuckets)) - kSubBuckets;
+  if (buckets_.empty()) {
+    min_exp_ = exp;
+  } else if (exp < min_exp_) {
+    buckets_.insert(buckets_.begin(),
+                    static_cast<size_t>(min_exp_ - exp) * kSubBuckets, 0);
+    min_exp_ = exp;
+  }
+  const size_t index =
+      static_cast<size_t>(exp - min_exp_) * kSubBuckets + sub;
+  if (index >= buckets_.size()) {
+    buckets_.resize((index / kSubBuckets + 1) * kSubBuckets, 0);
+  }
+  ++buckets_[index];
 }
 
 double Histogram::variance() const {
@@ -143,75 +57,34 @@ double Histogram::variance() const {
 double Histogram::stddev() const { return std::sqrt(variance()); }
 
 double Histogram::Quantile(double q) const {
-  if (streaming_) {
-    if (sketches_.empty()) return 0.0;
-    const P2Quantile* best = &sketches_[0];
-    for (const P2Quantile& s : sketches_) {
-      if (std::abs(s.q() - q) < std::abs(best->q() - q)) best = &s;
-    }
-    return best->Value();
-  }
-  if (values_.empty()) return 0.0;
-  if (!sorted_) {
-    std::sort(values_.begin(), values_.end());
-    sorted_ = true;
-  }
+  if (count_ == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
-  size_t idx = static_cast<size_t>(q * static_cast<double>(values_.size()));
-  if (idx >= values_.size()) idx = values_.size() - 1;
-  return values_[idx];
+  const uint64_t rank = std::min(
+      static_cast<uint64_t>(q * static_cast<double>(count_)), count_ - 1);
+  uint64_t seen = zeros_;
+  if (rank < seen) return 0.0;
+  for (size_t i = 0; i < buckets_.size(); ++i) {
+    seen += buckets_[i];
+    if (rank < seen) {
+      // Lower bound of sub-bucket i % kSubBuckets of [2^(exp-1), 2^exp):
+      // the fraction (kSubBuckets + sub) / (2 * kSubBuckets) times 2^exp.
+      const int exp = min_exp_ + static_cast<int>(i / kSubBuckets);
+      const double frac = static_cast<double>(kSubBuckets + i % kSubBuckets) /
+                          (2 * kSubBuckets);
+      const double low = std::ldexp(frac, exp);
+      return std::clamp(low, min_, max_);
+    }
+  }
+  return max_;  // unreachable: the buckets hold count_ - zeros_ samples
 }
 
-void Histogram::Reset() {
-  count_ = 0;
-  mean_ = m2_ = min_ = max_ = sum_ = 0.0;
-  stride_ = 1;
-  stride_pos_ = 0;
-  for (P2Quantile& s : sketches_) s.Reset();
-  values_.clear();
-  sorted_ = true;
-}
+void Histogram::Reset() { *this = Histogram(); }
 
 std::string Histogram::Summary() const {
   std::ostringstream os;
   os << "n=" << count_ << " mean=" << mean() << " sd=" << stddev()
      << " min=" << min() << " p50=" << Quantile(0.5)
      << " p99=" << Quantile(0.99) << " max=" << max();
-  return os.str();
-}
-
-BucketHistogram::BucketHistogram(double lo, double hi, int num_buckets)
-    : lo_(lo), buckets_(static_cast<size_t>(num_buckets), 0) {
-  assert(num_buckets > 0);
-  assert(hi > lo);
-  width_ = (hi - lo) / num_buckets;
-}
-
-void BucketHistogram::Add(double value) {
-  if (value < lo_) {
-    ++underflow_;
-    return;
-  }
-  size_t i = static_cast<size_t>((value - lo_) / width_);
-  if (i >= buckets_.size()) {
-    ++overflow_;
-    return;
-  }
-  ++buckets_[i];
-}
-
-std::string BucketHistogram::Render(int bar_width) const {
-  uint64_t max_count = 1;
-  for (uint64_t b : buckets_) max_count = std::max(max_count, b);
-  std::ostringstream os;
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    double lo = lo_ + static_cast<double>(i) * width_;
-    int bar = static_cast<int>(static_cast<double>(buckets_[i]) /
-                               static_cast<double>(max_count) * bar_width);
-    os << "[" << lo << ", " << (lo + width_) << ") " << buckets_[i] << " ";
-    for (int j = 0; j < bar; ++j) os << '#';
-    os << "\n";
-  }
   return os.str();
 }
 

@@ -3,53 +3,33 @@
 // Used to validate protocol behaviour against the closed-form model, e.g.
 // the distribution of Chord lookup hop counts against cSIndx =
 // 0.5*log2(numActivePeers) (Eq. 7), or random-walk message counts against
-// cSUnstr (Eq. 6).
+// cSUnstr (Eq. 6), and to report lookup latency quantiles.
 
 #ifndef PDHT_STATS_HISTOGRAM_H_
 #define PDHT_STATS_HISTOGRAM_H_
 
 #include <cstdint>
-#include <initializer_list>
 #include <string>
 #include <vector>
 
 namespace pdht {
 
-/// P² (piecewise-parabolic) streaming quantile estimator
-/// (Jain & Chlamtac, CACM 1985): tracks one quantile with five markers in
-/// O(1) memory and O(1) work per observation, no samples retained.  The
-/// first five observations are stored exactly; afterwards marker heights
-/// are adjusted parabolically (falling back to linear interpolation when
-/// the parabola would break marker monotonicity).  Deterministic for a
-/// given observation order.
-class P2Quantile {
- public:
-  /// `q` in (0, 1), e.g. 0.5 for the median.
-  explicit P2Quantile(double q);
-
-  void Add(double value);
-
-  /// Current estimate; exact (nearest-rank over the stored values) until
-  /// five observations have been seen, 0 when empty.
-  double Value() const;
-
-  double q() const { return q_; }
-  uint64_t count() const { return count_; }
-  void Reset();
-
- private:
-  double q_;
-  uint64_t count_ = 0;
-  double heights_[5];    ///< marker heights h_i (h_2 estimates q)
-  double positions_[5];  ///< actual marker positions n_i (1-based ranks)
-  double desired_[5];    ///< desired positions n'_i
-  double rates_[5];      ///< dn'_i per observation
-};
-
-/// Accumulates scalar observations; supports mean/variance (Welford),
-/// min/max, and exact quantiles (values are retained).
+/// Accumulates non-negative scalar observations: exact count/sum/min/max,
+/// Welford mean/variance, and quantiles from a log-linear bucket sketch in
+/// the style of HdrHistogram and DDSketch (Masson, Rim & Lee, VLDB 2019).
+///
+/// Each power of two [2^(e-1), 2^e) is split into kSubBuckets equal
+/// sub-buckets holding integer counts, plus one bucket for zero.  Buckets
+/// are allocated lazily over the exponent range actually seen, so memory
+/// is O(kSubBuckets * log2(max/min)) however long the stream is, and the
+/// counts do not depend on arrival order.
 class Histogram {
  public:
+  /// Sub-buckets per power of two: quantiles carry at most 1/128 relative
+  /// error, and every integer below 2 * kSubBuckets has its own bucket.
+  static constexpr int kSubBuckets = 128;
+
+  /// `value` must be finite and non-negative (hop counts, delays, costs).
   void Add(double value);
 
   uint64_t count() const { return count_; }
@@ -61,32 +41,13 @@ class Histogram {
   double max() const { return count_ == 0 ? 0.0 : max_; }
   double sum() const { return sum_; }
 
-  /// Exact quantile via nearest-rank on the sorted sample; q in [0, 1].
-  /// O(n log n) on first call after new data (lazy sort).  Under a
-  /// sample cap (below) the quantile is a systematic-subsample estimate.
+  /// Nearest-rank quantile, q in [0, 1]: the lower bound of the bucket
+  /// holding the sample of 0-based rank floor(q * count), clamped to
+  /// [min, max].  Never falls as q rises; exact for integer samples below
+  /// 256, otherwise within 1/kSubBuckets below the true sample.  0 when
+  /// empty.
   double Quantile(double q) const;
   double Median() const { return Quantile(0.5); }
-
-  /// Bounds retained-sample memory for unbounded streams (e.g. one
-  /// sample per simulated message): once more than `cap` values are
-  /// retained the sample is decimated 2x and subsequent observations are
-  /// kept at the doubled stride.  Deterministic; moment statistics
-  /// (count/mean/variance/min/max/sum) stay exact, quantiles degrade
-  /// gracefully to estimates over an at-most-`cap` systematic subsample.
-  /// 0 (the default) retains everything.  Set before adding data.
-  void SetSampleCap(size_t cap) { sample_cap_ = cap; }
-
-  /// Switches quantile tracking to streaming P² estimators for the given
-  /// probabilities and stops retaining samples entirely: memory becomes
-  /// O(1) per tracked probability regardless of stream length, which is
-  /// what per-lookup latency histograms need at 100k-1M peers.  Moment
-  /// statistics (count/mean/variance/min/max/sum) stay exact.  Quantile(q)
-  /// returns the estimate of the tracked probability nearest to `q`.
-  /// Call before adding data; an empty list just disables retention.
-  void TrackStreamingQuantiles(std::initializer_list<double> qs);
-
-  /// True once TrackStreamingQuantiles has been called.
-  bool streaming() const { return streaming_; }
 
   void Reset();
 
@@ -100,38 +61,11 @@ class Histogram {
   double min_ = 0.0;
   double max_ = 0.0;
   double sum_ = 0.0;
-  size_t sample_cap_ = 0;   ///< 0 = retain every value
-  uint64_t stride_ = 1;     ///< keep every stride-th observation
-  uint64_t stride_pos_ = 0; ///< observations since the last kept one
-  bool streaming_ = false;  ///< quantiles via P² sketches, no retention
-  std::vector<P2Quantile> sketches_;
-  mutable std::vector<double> values_;
-  mutable bool sorted_ = true;
-};
-
-/// Fixed-width bucketed counts for plotting distributions as text.
-class BucketHistogram {
- public:
-  /// Buckets [lo, lo+w), [lo+w, lo+2w), ...; values outside [lo, hi) go to
-  /// under/overflow buckets.
-  BucketHistogram(double lo, double hi, int num_buckets);
-
-  void Add(double value);
-  uint64_t BucketCount(int i) const { return buckets_[i]; }
-  uint64_t underflow() const { return underflow_; }
-  uint64_t overflow() const { return overflow_; }
-  int num_buckets() const { return static_cast<int>(buckets_.size()); }
-  double BucketLow(int i) const { return lo_ + i * width_; }
-
-  /// ASCII rendering, one bucket per line with a proportional bar.
-  std::string Render(int bar_width = 40) const;
-
- private:
-  double lo_;
-  double width_;
+  uint64_t zeros_ = 0;  ///< observations equal to 0
+  /// std::frexp exponent of buckets_[0..kSubBuckets); each further
+  /// kSubBuckets counts cover the next power of two.
+  int min_exp_ = 0;
   std::vector<uint64_t> buckets_;
-  uint64_t underflow_ = 0;
-  uint64_t overflow_ = 0;
 };
 
 }  // namespace pdht

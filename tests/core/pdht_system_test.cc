@@ -319,6 +319,39 @@ TEST(PdhtSystemTest, TimeoutCostingPricesFailedProbesWithoutTouchingCounts) {
             snap.latency.at(PdhtSystem::kMetricLookupHopsMean));
 }
 
+TEST(PdhtSystemTest, LookupRttQuantilesNeverInvert) {
+  // bench_latency's chord/+timeout cell on its own seed: Table 1 at 1/14
+  // scale with churn, latency delivery, table and route PNS, and timeout
+  // costing.  Timeout waits make the RTT stream bimodal; independent
+  // per-quantile P² sketches reported p95 4263 ms > p99 1900 ms here.
+  SystemConfig c;
+  c.params.num_peers = 1428;
+  c.params.keys = 2857;
+  c.params.stor = 50;
+  c.params.repl = 25;
+  c.params.f_qry = 1.0 / 10.0;
+  c.params.f_upd = 1.0 / 3600.0;
+  c.strategy = Strategy::kPartialTtl;
+  c.backend = DhtBackend::kChord;
+  c.churn.enabled = true;
+  c.seed = 20260730;
+  c.delivery_model = net::DeliveryModelKind::kLatency;
+  c.proximity_routing = true;
+  c.route_proximity = true;
+  c.timeout_costing = true;
+  PdhtSystem sys(c);
+  sys.RunRounds(30);
+  RunSnapshot snap = sys.Snapshot(10);
+  EXPECT_GT(snap.latency.at(PdhtSystem::kMetricLookupTimeouts), 0.0);
+  const double p50 = snap.latency.at(PdhtSystem::kMetricLookupRttP50);
+  const double p95 = snap.latency.at(PdhtSystem::kMetricLookupRttP95);
+  const double p99 = snap.latency.at(PdhtSystem::kMetricLookupRttP99);
+  EXPECT_GT(p50, 0.0);
+  EXPECT_LE(p50, p95);
+  EXPECT_LE(p95, p99);
+  EXPECT_LE(p99, sys.lookup_rtt_ms().max());
+}
+
 TEST(PdhtSystemTest, RoutePnsLowersLookupRttOverTableOnlyPns) {
   SystemConfig table_only = BaseConfig(Strategy::kPartialTtl);
   table_only.delivery_model = net::DeliveryModelKind::kLatency;

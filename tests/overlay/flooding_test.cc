@@ -27,6 +27,13 @@ struct FloodFixture {
   FloodSearch flood;
 };
 
+/// The lowest-numbered peer holding `key`.
+net::PeerId FirstHolder(const ReplicaPlacement& placement, uint64_t key) {
+  net::PeerId p = 0;
+  while (!placement.PeerHoldsKey(p, key)) ++p;
+  return p;
+}
+
 TEST(FloodSearchTest, FindsReplicatedKey) {
   FloodFixture f(500, 25);
   f.placement.PlaceKey(7);
@@ -38,7 +45,7 @@ TEST(FloodSearchTest, FindsReplicatedKey) {
 TEST(FloodSearchTest, LocalHitCostsNothing) {
   FloodFixture f(100, 10);
   f.placement.PlaceKey(3);
-  net::PeerId holder = f.placement.ReplicasOf(3)[0];
+  net::PeerId holder = FirstHolder(f.placement, 3);
   FloodResult r = f.flood.Search(holder, 3, 10);
   EXPECT_TRUE(r.found);
   EXPECT_EQ(r.found_at, holder);
@@ -107,6 +114,30 @@ TEST(FloodSearchTest, MessagesLandOnNetworkCounters) {
   EXPECT_EQ(f.counters.Value("msg.unstructured.flood"),
             f.net.MessagesOfType(net::MessageType::kFloodQuery));
   EXPECT_GT(f.counters.Value("msg.total"), 0u);
+}
+
+TEST(FloodSearchTest, OracleIsNotAskedAfterTheHit) {
+  Rng rng(1);
+  RandomGraph graph(500, 6.0, &rng);
+  pdht::CounterRegistry counters;
+  net::Network net(&counters);
+  for (uint32_t i = 0; i < 500; ++i) net.SetOnline(i, true);
+  constexpr net::PeerId kHolder = 250;
+  uint32_t asked = 0;
+  uint32_t asked_after_hit = 0;
+  bool hit = false;
+  FloodSearch flood(&graph, &net, [&](net::PeerId p, uint64_t) {
+    ++asked;
+    if (hit) ++asked_after_hit;
+    hit = hit || p == kHolder;
+    return p == kHolder;
+  });
+  FloodResult r = flood.Search(0, 1, 30);
+  ASSERT_TRUE(r.found);
+  EXPECT_EQ(r.found_at, kHolder);
+  EXPECT_EQ(asked_after_hit, 0u);
+  // The flood itself went on past the hit.
+  EXPECT_GT(r.peers_reached, asked);
 }
 
 TEST(FloodSearchTest, ResponseSentOnHit) {

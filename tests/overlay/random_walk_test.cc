@@ -30,6 +30,13 @@ struct WalkFixture {
   RandomWalkSearch walk;
 };
 
+/// The lowest-numbered peer holding `key`.
+net::PeerId FirstHolder(const ReplicaPlacement& placement, uint64_t key) {
+  net::PeerId p = 0;
+  while (!placement.PeerHoldsKey(p, key)) ++p;
+  return p;
+}
+
 TEST(RandomWalkTest, FindsWellReplicatedKey) {
   WalkFixture f(1000, 50);
   f.placement.PlaceKey(1);
@@ -41,7 +48,7 @@ TEST(RandomWalkTest, FindsWellReplicatedKey) {
 TEST(RandomWalkTest, LocalHitIsFree) {
   WalkFixture f(200, 20);
   f.placement.PlaceKey(2);
-  net::PeerId holder = f.placement.ReplicasOf(2)[0];
+  net::PeerId holder = FirstHolder(f.placement, 2);
   WalkResult r = f.walk.Search(holder, 2);
   EXPECT_TRUE(r.found);
   EXPECT_EQ(r.messages, 0u);
