@@ -998,7 +998,7 @@ void PdhtSystem::RunMaintenanceActor(sim::RoundContext& /*ctx*/) {
 }
 
 void PdhtSystem::RunMaintenanceTasks() {
-  // PLAN (serial): the overlay consumes its fractional budgets in
+  // PLAN (serial): the overlay accrues its fractional budgets in
   // canonical member order and freezes the round's task list -- one
   // deterministic (member, probe-count) sequence no matter how many
   // threads run the phase.
@@ -1017,20 +1017,19 @@ void PdhtSystem::RunMaintenanceTasks() {
   const uint32_t chunk = overlay::StructuredOverlay::kMaintenanceChunk;
   const uint32_t num_chunks = (num_tasks + chunk - 1) / chunk;
   maint_slices_.resize(num_chunks);
-  pool_->Run(num_chunks, [this, maint_seed, num_tasks](uint32_t w,
-                                                       uint32_t c) {
+  pool_->Run(num_chunks, [this, maint_seed](uint32_t w, uint32_t c) {
     net::ShardLane& lane = lanes_[w];
     network_->BeginLane(&lane);
     PhaseSlice& s = maint_slices_[c];
     s.lane = w;
     s.def_begin = static_cast<uint32_t>(lane.deferred.size());
-    overlay_->ExecuteMaintenanceChunk(maint_seed, c, num_tasks);
+    overlay_->ExecuteMaintenanceChunk(maint_seed, c);
     s.def_end = static_cast<uint32_t>(lane.deferred.size());
     network_->EndLane();
   });
   // PUBLISH (serial): lane counter deltas merge (order-free integer
   // adds), deferred network effects replay in global task order, then
-  // the overlay folds its per-task repair stats.
+  // the overlay ends its round.
   MergeLaneCounters();
   for (const PhaseSlice& s : maint_slices_) {
     for (uint32_t i = s.def_begin; i < s.def_end; ++i) {
@@ -1253,11 +1252,18 @@ RunSnapshot PdhtSystem::Snapshot(size_t tail) const {
     snap.latency[kMetricLookupRttP99] = lookup_rtt_ms_.Quantile(0.99);
     snap.latency[kMetricLookupRttCount] =
         static_cast<double>(lookup_rtt_ms_.count());
-    const uint64_t deferred = network_->DeferredCount();
+    // Mean over the per-type link-delay histograms: total_latency_s()
+    // also holds probe-timeout waits, which are not link delays.
+    double delay_ms = 0.0;
+    uint64_t sends = 0;
+    for (int t = 0; t < static_cast<int>(net::MessageType::kCount); ++t) {
+      const Histogram& h =
+          network_->TypeLatencyMs(static_cast<net::MessageType>(t));
+      delay_ms += h.sum();
+      sends += h.count();
+    }
     snap.latency[kMetricLinkDelayMean] =
-        deferred == 0 ? 0.0
-                      : network_->total_latency_s() * 1e3 /
-                            static_cast<double>(deferred);
+        sends == 0 ? 0.0 : delay_ms / static_cast<double>(sends);
     snap.latency[kMetricLookupStretch] =
         lookup_direct_ms_.mean() > 0.0
             ? lookup_rtt_ms_.mean() / lookup_direct_ms_.mean()

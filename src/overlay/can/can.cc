@@ -85,7 +85,6 @@ CanOverlay::CanOverlay(net::Network* network, Rng rng)
 void CanOverlay::SetMembers(const std::vector<net::PeerId>& members) {
   zones_.clear();
   neighbors_.clear();
-  probe_budget_.clear();
   member_list_ = members;
   if (members.empty()) return;
 
@@ -228,42 +227,18 @@ void CanOverlay::NextHops(const RouteState& state, uint64_t /*key*/,
   }
 }
 
-uint32_t CanOverlay::PlanMaintenanceRound(double env) {
-  // Budgets accrue in member-list order; whole probes are frozen at plan
-  // time.  The plan draws no randomness.
-  maint_tasks_.clear();
-  for (net::PeerId peer : member_list_) {
-    if (!network_->IsOnline(peer)) continue;
-    const auto& nbrs = NeighborsOf(peer);
-    if (nbrs.empty()) continue;
-    double& budget = probe_budget_[peer];
-    budget += env * static_cast<double>(nbrs.size());
-    const uint32_t probes = static_cast<uint32_t>(budget);
-    budget -= static_cast<double>(probes);
-    if (probes > 0) maint_tasks_.push_back(MaintTask{peer, probes});
-  }
-  return static_cast<uint32_t>(maint_tasks_.size());
-}
-
-void CanOverlay::ExecuteMaintenanceTask(uint32_t task, Rng& rng) {
-  const MaintTask& t = maint_tasks_[task];
-  const auto& nbrs = NeighborsOf(t.peer);
-  if (nbrs.empty()) return;
-  for (uint32_t p = 0; p < t.probes; ++p) {
+uint32_t CanOverlay::ProbeMember(const MaintenanceTask& task, Rng& rng) {
+  const auto& nbrs = NeighborsOf(task.peer);
+  if (nbrs.empty()) return 0;
+  for (uint32_t p = 0; p < task.probes; ++p) {
     net::PeerId target = nbrs[rng.UniformU64(nbrs.size())];
     net::Message probe;
     probe.type = net::MessageType::kRoutingProbe;
-    probe.from = t.peer;
+    probe.from = task.peer;
     probe.to = target;
     network_->Send(probe);
   }
-}
-
-uint64_t CanOverlay::FinishMaintenanceRound() {
-  uint64_t probes = 0;
-  for (const MaintTask& t : maint_tasks_) probes += t.probes;
-  maint_tasks_.clear();
-  return probes;
+  return task.probes;
 }
 
 uint64_t CanOverlay::RoutingFingerprint() const {

@@ -87,16 +87,6 @@ class CanOverlay : public StructuredOverlay {
                 std::vector<RouteCandidate>* out) override;
   void OnAdvance(net::PeerId peer) override { MarkVisited(peer); }
 
-  /// Probe-based neighbor maintenance (env semantics as elsewhere).
-  /// CAN zones are static here, so "repair" means remembering the
-  /// neighbor is down; probes detect and are counted.  Plan consumes the
-  /// fractional probe budgets in member-list order; a task only probes,
-  /// reading the frozen neighbor lists and drawing from the caller Rng,
-  /// so distinct tasks are trivially race-free.
-  uint32_t PlanMaintenanceRound(double env) override;
-  void ExecuteMaintenanceTask(uint32_t task, Rng& rng) override;
-  uint64_t FinishMaintenanceRound() override;
-
   /// Static zones need no rebuild on rejoin.
   void RejoinNode(net::PeerId /*peer*/, Rng& /*rng*/) override {}
 
@@ -105,7 +95,8 @@ class CanOverlay : public StructuredOverlay {
   /// matrix tests still pin it across thread/shard counts.
   uint64_t RoutingFingerprint() const override;
 
-  size_t TableSize(net::PeerId peer) const;
+  /// Neighbors of `peer` (the Eq. 8 probe base).
+  size_t TableSize(net::PeerId peer) const override;
 
   /// Zone-partition invariants: volumes sum to 1, zones don't overlap (on
   /// a sample), every sampled point has an owner.  Empty string when ok.
@@ -114,6 +105,12 @@ class CanOverlay : public StructuredOverlay {
  private:
   /// Torus distance between a point and a zone (0 if inside).
   static double DistanceToZone(const CanPoint& p, const CanZone& z);
+
+  /// Probe-based neighbor maintenance.  CAN zones are static here, so
+  /// there is nothing to repair: probes only detect and are counted.  A
+  /// task reads the frozen neighbor lists, so distinct tasks are
+  /// trivially race-free.
+  uint32_t ProbeMember(const MaintenanceTask& task, Rng& rng) override;
 
   /// Per-lookup routing state, one entry per lookup slot (set in
   /// StartLookup; concurrent walks each run under their own
@@ -148,16 +145,7 @@ class CanOverlay : public StructuredOverlay {
   std::unordered_map<net::PeerId, CanZone> zones_;
   std::unordered_map<net::PeerId, std::vector<net::PeerId>> neighbors_;
   std::vector<net::PeerId> member_list_;
-  std::unordered_map<net::PeerId, double> probe_budget_;
   std::vector<net::PeerId> empty_;
-
-  /// One maintenance task: all of a member's probes for the
-  /// round, frozen at plan time (neighbor lists are static).
-  struct MaintTask {
-    net::PeerId peer = net::kInvalidPeer;
-    uint32_t probes = 0;
-  };
-  std::vector<MaintTask> maint_tasks_;
 
   std::vector<LookupSlot> lookup_slots_{1};
   void ResizeLookupSlots(uint32_t n) override { lookup_slots_.resize(n); }

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "overlay/dht/maintenance.h"
 #include "util/bits.h"
 #include "util/hash.h"
 
@@ -14,26 +13,37 @@ namespace pdht::overlay {
 ChordOverlay::ChordOverlay(net::Network* network,
                            uint32_t successor_list_size)
     : StructuredOverlay(network),
-      successor_list_size_(successor_list_size),
-      maint_(std::make_unique<ChordMaintenance>(this, network, 0.0)) {}
+      successor_list_size_(successor_list_size) {}
 
-ChordOverlay::~ChordOverlay() = default;
-
-uint32_t ChordOverlay::PlanMaintenanceRound(double env) {
-  maint_->set_env(env);
-  return maint_->PlanRound();
+size_t ChordOverlay::TableSize(net::PeerId peer) const {
+  const FingerTable* table = TableOf(peer);
+  return table == nullptr ? 0 : table->size();
 }
 
-void ChordOverlay::ExecuteMaintenanceTask(uint32_t task, Rng& rng) {
-  maint_->ExecuteTask(task, rng);
-}
-
-uint64_t ChordOverlay::FinishMaintenanceRound() {
-  return maint_->FinishRound();
-}
-
-const MaintenanceStats& ChordOverlay::maintenance_stats() const {
-  return maint_->stats();
+uint32_t ChordOverlay::ProbeMember(const MaintenanceTask& task, Rng& rng) {
+  FingerTable& table = ring_[task.member].table;
+  uint32_t sent = 0;
+  for (uint32_t i = 0; i < task.probes; ++i) {
+    // Per-probe size sampling stays inside the owning task: successor
+    // repair can shrink this member's own list mid-task, and only this
+    // task mutates it.
+    const size_t total = table.size();
+    if (total == 0) break;
+    const size_t idx = static_cast<size_t>(rng.UniformU64(total));
+    const FingerEntry& entry =
+        idx < table.fingers().size()
+            ? table.fingers()[idx]
+            : table.successors()[idx - table.fingers().size()];
+    if (entry.peer == net::kInvalidPeer) continue;
+    net::Message probe;
+    probe.type = net::MessageType::kRoutingProbe;
+    probe.from = task.peer;
+    probe.to = entry.peer;
+    network_->Send(probe);
+    ++sent;
+    if (!network_->IsOnline(entry.peer)) RepairFinger(task.peer, idx);
+  }
+  return sent;
 }
 
 uint64_t ChordOverlay::RoutingFingerprint() const {
@@ -126,54 +136,6 @@ void ChordOverlay::BuildTable(Member& m) {
   }
 }
 
-void ChordOverlay::AddMember(net::PeerId peer) {
-  if (IsMember(peer)) return;
-  Member nm{PeerToNodeId(peer), peer, FingerTable{}};
-  auto it = std::lower_bound(
-      ring_.begin(), ring_.end(), nm.id,
-      [](const Member& m, NodeId v) { return m.id < v; });
-  size_t pos = static_cast<size_t>(it - ring_.begin());
-  ring_.insert(it, std::move(nm));
-  members_.insert(members_.begin() + static_cast<long>(pos), peer);
-  peer_to_index_.clear();
-  for (size_t i = 0; i < ring_.size(); ++i) {
-    peer_to_index_[ring_[i].peer] = i;
-  }
-  BuildTable(ring_[pos]);
-  // Join traffic: Chord's join costs O(log^2 n) messages to populate the
-  // new node's table and notify affected nodes.  Count it explicitly.
-  uint64_t join_msgs = 0;
-  if (ring_.size() > 1) {
-    int lg = CeilLog2(ring_.size());
-    join_msgs = static_cast<uint64_t>(lg) * static_cast<uint64_t>(lg);
-  }
-  network_->CountOnly(net::MessageType::kJoin, join_msgs);
-  // Repair other nodes' fingers that should now point to the new member.
-  for (auto& m : ring_) {
-    if (m.peer == peer) continue;
-    for (auto& f : m.table.fingers()) {
-      size_t si = SuccessorIndex(f.start);
-      if (ring_[si].peer != f.peer) {
-        f.peer = ring_[si].peer;
-        f.peer_id = ring_[si].id;
-      }
-    }
-  }
-}
-
-void ChordOverlay::RemoveMember(net::PeerId peer) {
-  auto it = peer_to_index_.find(peer);
-  if (it == peer_to_index_.end()) return;
-  ring_.erase(ring_.begin() + static_cast<long>(it->second));
-  members_.erase(members_.begin() + static_cast<long>(it->second));
-  peer_to_index_.clear();
-  for (size_t i = 0; i < ring_.size(); ++i) {
-    peer_to_index_[ring_[i].peer] = i;
-  }
-  // Entries pointing at the departed peer are repaired lazily by
-  // maintenance (or eagerly here for tests via RefreshNode).
-}
-
 bool ChordOverlay::IsMember(net::PeerId peer) const {
   return peer_to_index_.count(peer) > 0;
 }
@@ -181,20 +143,6 @@ bool ChordOverlay::IsMember(net::PeerId peer) const {
 net::PeerId ChordOverlay::ResponsibleMember(uint64_t key) const {
   if (ring_.empty()) return net::kInvalidPeer;
   return ring_[SuccessorIndex(KeyToNodeId(key))].peer;
-}
-
-std::vector<net::PeerId> ChordOverlay::ResponsibleReplicas(
-    uint64_t key, uint32_t count) const {
-  std::vector<net::PeerId> out;
-  if (ring_.empty()) return out;
-  size_t idx = SuccessorIndex(KeyToNodeId(key));
-  uint32_t n = static_cast<uint32_t>(
-      std::min<size_t>(count, ring_.size()));
-  out.reserve(n);
-  for (uint32_t k = 0; k < n; ++k) {
-    out.push_back(ring_[(idx + k) % ring_.size()].peer);
-  }
-  return out;
 }
 
 ChordOverlay::Member* ChordOverlay::FindMember(net::PeerId peer) {

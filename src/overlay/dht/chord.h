@@ -7,14 +7,13 @@
 //  * the *member set* is chosen by the PDHT layer (only numActivePeers
 //    peers participate in the DHT when the index is small, Section 3.2);
 //  * members churn on/off; fingers pointing at offline members are stale
-//    until probing maintenance (maintenance.h) refreshes them, and lookups
-//    pay extra messages to route around them.
+//    until probing maintenance (ProbeMember, Eq. 8) refreshes them, and
+//    lookups pay extra messages to route around them.
 
 #ifndef PDHT_OVERLAY_DHT_CHORD_H_
 #define PDHT_OVERLAY_DHT_CHORD_H_
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -26,9 +25,6 @@
 
 namespace pdht::overlay {
 
-class ChordMaintenance;
-struct MaintenanceStats;
-
 class ChordOverlay : public StructuredOverlay {
  public:
   /// `network` must outlive the overlay.  `successor_list_size` entries of
@@ -36,20 +32,11 @@ class ChordOverlay : public StructuredOverlay {
   /// function of membership, so construction takes no Rng.
   explicit ChordOverlay(net::Network* network,
                         uint32_t successor_list_size = 8);
-  ~ChordOverlay() override;
 
   /// (Re)builds the ring over the given member peers.  Ids derive from
   /// peer numbers; finger tables are constructed fresh (bootstrap traffic
-  /// is not the object of the paper's model, so construction is free; join
-  /// messages for *incremental* joins are counted in AddMember).
+  /// is not the object of the paper's model, so construction is free).
   void SetMembers(const std::vector<net::PeerId>& members) override;
-
-  /// Incrementally adds a member: builds its table and repairs affected
-  /// fingers, counting kJoin traffic (O(log^2 n) messages, as in Chord).
-  void AddMember(net::PeerId peer);
-
-  /// Removes a member permanently (not churn -- actual departure).
-  void RemoveMember(net::PeerId peer);
 
   bool IsMember(net::PeerId peer) const override;
   size_t num_members() const override { return ring_.size(); }
@@ -60,10 +47,6 @@ class ChordOverlay : public StructuredOverlay {
 
   /// The member responsible for `key`: successor(KeyToNodeId(key)).
   net::PeerId ResponsibleMember(uint64_t key) const override;
-
-  /// The `count` members succeeding the responsible one (replica holders).
-  std::vector<net::PeerId> ResponsibleReplicas(uint64_t key,
-                                               uint32_t count) const;
 
   // Routing-engine contract (the walk itself lives in RoutingDriver):
   // primary candidates are the table entries strictly preceding the key,
@@ -91,13 +74,8 @@ class ChordOverlay : public StructuredOverlay {
   /// milliseconds.  0 without an RTT oracle.
   double ProgressWeightMs() const override;
 
-  /// Maintenance rounds run on the owned ChordMaintenance (see
-  /// overlay/dht/maintenance.h), which keeps the fractional budgets.
-  uint32_t PlanMaintenanceRound(double env) override;
-  void ExecuteMaintenanceTask(uint32_t task, Rng& rng) override;
-  uint64_t FinishMaintenanceRound() override;
-  /// Cumulative probe/stale/repair counts of every finished round.
-  const MaintenanceStats& maintenance_stats() const;
+  /// Fingers plus successors of `peer` (the Eq. 8 probe base).
+  size_t TableSize(net::PeerId peer) const override;
 
   /// Rejoin refresh, free/piggybacked (paper Section 3.3.1).  Table
   /// rebuilds draw no randomness and write only the named member's
@@ -143,11 +121,15 @@ class ChordOverlay : public StructuredOverlay {
   Member* FindMember(net::PeerId peer);
   const Member* FindMember(net::PeerId peer) const;
 
+  /// Probes random entries of ring_[task.member]'s table; a probe that
+  /// finds its target offline repairs that entry (RepairFinger), which
+  /// writes only this member's table.
+  uint32_t ProbeMember(const MaintenanceTask& task, Rng& rng) override;
+
   uint32_t successor_list_size_;
   std::vector<Member> ring_;  // sorted by id
   std::unordered_map<net::PeerId, size_t> peer_to_index_;
   std::vector<net::PeerId> members_;  // ring_[i].peer, kept in step
-  std::unique_ptr<ChordMaintenance> maint_;
 
   /// Mean link RTT sampled over member pairs at SetMembers time (only
   /// with the PeerRtt oracle installed); feeds ProgressWeightMs.

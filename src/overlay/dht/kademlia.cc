@@ -29,7 +29,6 @@ void KademliaOverlay::SetMembers(const std::vector<net::PeerId>& members) {
   nodes_.clear();
   member_list_.clear();
   sorted_ids_.clear();
-  probe_budget_.clear();
   if (members.empty()) return;
   member_list_ = members;
   std::sort(member_list_.begin(), member_list_.end(),
@@ -214,15 +213,16 @@ bool KademliaOverlay::FallbackHop(const RouteState& state, uint64_t /*key*/,
   return true;
 }
 
-uint64_t KademliaOverlay::ProbeMember(net::PeerId peer, uint32_t probes,
+uint32_t KademliaOverlay::ProbeMember(const MaintenanceTask& task,
                                       Rng& rng) {
+  const net::PeerId peer = task.peer;
   NodeState& st = nodes_.at(peer);
   // Bucket sizes never change during a round (repair swaps contacts in
   // place), so the per-probe pick domain is fixed at entry.
   const size_t table_size = TableSize(peer);
   if (table_size == 0) return 0;
-  uint64_t sent = 0;
-  for (uint32_t i = 0; i < probes; ++i) {
+  uint32_t sent = 0;
+  for (uint32_t i = 0; i < task.probes; ++i) {
     // Pick a uniformly random contact across the (ragged) buckets.
     size_t idx = static_cast<size_t>(rng.UniformU64(table_size));
     size_t b = 0;
@@ -267,38 +267,6 @@ uint64_t KademliaOverlay::ProbeMember(net::PeerId peer, uint32_t probes,
     }
   }
   return sent;
-}
-
-uint32_t KademliaOverlay::PlanMaintenanceRound(double env) {
-  maint_tasks_.clear();
-  for (net::PeerId peer : member_list_) {
-    if (!network_->IsOnline(peer)) continue;
-    const size_t table_size = TableSize(peer);
-    if (table_size == 0) continue;
-    double& budget = probe_budget_[peer];
-    budget += env * static_cast<double>(table_size);
-    const uint32_t whole = static_cast<uint32_t>(budget);
-    budget -= static_cast<double>(whole);
-    if (whole > 0) maint_tasks_.push_back(MaintTask{peer, whole});
-  }
-  maint_task_probes_.assign(maint_tasks_.size(), 0);
-  return static_cast<uint32_t>(maint_tasks_.size());
-}
-
-void KademliaOverlay::ExecuteMaintenanceTask(uint32_t task, Rng& rng) {
-  const MaintTask& t = maint_tasks_[task];
-  // ProbeMember writes only t.peer's buckets and reads shared frozen
-  // state (sorted ids, membership, online flags), so distinct tasks are
-  // race-free.
-  maint_task_probes_[task] = ProbeMember(t.peer, t.probes, rng);
-}
-
-uint64_t KademliaOverlay::FinishMaintenanceRound() {
-  uint64_t probes = 0;
-  for (uint64_t p : maint_task_probes_) probes += p;
-  maint_tasks_.clear();
-  maint_task_probes_.clear();
-  return probes;
 }
 
 uint64_t KademliaOverlay::RoutingFingerprint() const {

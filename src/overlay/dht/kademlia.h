@@ -78,16 +78,6 @@ class KademliaOverlay : public StructuredOverlay {
   bool LenientHopLimit() const override { return true; }
   uint32_t LookupParallelism() const override { return alpha_; }
 
-  /// Probe-based bucket maintenance (env semantics as elsewhere): probes
-  /// random contacts, replaces detected-offline ones with an online
-  /// member of the same bucket (repair is free / piggybacked).  Plan
-  /// consumes the fractional budget map serially in member order; a task
-  /// probes/repairs one member's buckets with the task Rng (in-place
-  /// contact swaps -- bucket sizes never change mid-phase).
-  uint32_t PlanMaintenanceRound(double env) override;
-  void ExecuteMaintenanceTask(uint32_t task, Rng& rng) override;
-  uint64_t FinishMaintenanceRound() override;
-
   /// Rejoin refresh: rebuilds the peer's buckets from current membership;
   /// the over-full shuffle draws from `rng`, so distinct peers rebuild
   /// concurrently without touching a shared stream.
@@ -100,7 +90,7 @@ class KademliaOverlay : public StructuredOverlay {
   uint64_t RoutingFingerprint() const override;
 
   /// Total contacts of `peer` across buckets (for maintenance sizing).
-  size_t TableSize(net::PeerId peer) const;
+  size_t TableSize(net::PeerId peer) const override;
 
   /// Flat copy of `peer`'s routing table (bucket order).  Test support
   /// for the proximity-selection behaviour; empty for non-members.
@@ -123,9 +113,11 @@ class KademliaOverlay : public StructuredOverlay {
   /// Rebuilds `peer`'s buckets; the over-full shuffle draws from `rng`
   /// (SetMembers passes rng_, rejoin a per-peer stream).
   void BuildBuckets(net::PeerId peer, Rng& rng);
-  /// One member's probe round against its own buckets, drawing from
-  /// `rng`.  Returns probes sent.
-  uint64_t ProbeMember(net::PeerId peer, uint32_t probes, Rng& rng);
+  /// Probe-based bucket maintenance: probes random contacts and replaces
+  /// detected-offline ones with an online member of the same bucket
+  /// (repair is free / piggybacked).  Contacts are swapped in place, so
+  /// bucket sizes never change mid-phase.
+  uint32_t ProbeMember(const MaintenanceTask& task, Rng& rng) override;
   /// Members whose id differs from `id` first at bit `bucket`.
   std::vector<net::PeerId> BucketCandidates(NodeId id, int bucket) const;
   /// The member id-closest (XOR) to `target`; kInvalidPeer when empty.
@@ -137,15 +129,6 @@ class KademliaOverlay : public StructuredOverlay {
   std::unordered_map<net::PeerId, NodeState> nodes_;
   std::vector<net::PeerId> member_list_;  // sorted by node id
   std::vector<NodeId> sorted_ids_;        // parallel to member_list_
-  std::unordered_map<net::PeerId, double> probe_budget_;
-
-  /// Maintenance round state (plan -> execute -> finish).
-  struct MaintTask {
-    net::PeerId peer = net::kInvalidPeer;
-    uint32_t probes = 0;
-  };
-  std::vector<MaintTask> maint_tasks_;
-  std::vector<uint64_t> maint_task_probes_;  // parallel to maint_tasks_
 
   /// Per-lookup routing state, one entry per lookup slot (set in
   /// StartLookup; concurrent walks each run under their own

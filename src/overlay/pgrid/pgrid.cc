@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "overlay/dht/id.h"
-#include "util/bits.h"
 #include "util/hash.h"
 
 namespace pdht::overlay {
@@ -21,7 +20,6 @@ PGridOverlay::PGridOverlay(net::Network* network, Rng rng, PGridConfig config)
 void PGridOverlay::SetMembers(const std::vector<net::PeerId>& members) {
   paths_.clear();
   member_list_ = members;
-  probe_budget_.clear();
   if (members.empty()) return;
   // Recursive halving: split the (shuffled) member set until groups are at
   // most max_leaf_peers, assigning '0' to one half and '1' to the other.
@@ -42,64 +40,6 @@ void PGridOverlay::SetMembers(const std::vector<net::PeerId>& members) {
       };
   assign(0, shuffled.size(), TriePath{});
   BuildRoutingTables();
-}
-
-uint64_t PGridOverlay::BuildByExchanges(
-    const std::vector<net::PeerId>& members, uint64_t max_exchanges) {
-  paths_.clear();
-  member_list_ = members;
-  probe_budget_.clear();
-  for (net::PeerId p : members) paths_[p] = NodeState{TriePath{}, {}};
-  if (members.size() < 2) return 0;
-
-  // P-Grid bootstrap: random pairwise meetings.  When two peers with the
-  // same path meet, they split (one takes '0', the other '1') provided the
-  // leaf population allows it; when their paths diverge they recurse into
-  // referencing each other (we only track paths here; references are
-  // rebuilt after convergence).  Splitting stops when a peer's leaf group
-  // would drop below max_leaf_peers coverage of the opposite side, which
-  // we approximate with a target depth of ceil(log2(n / max_leaf_peers)).
-  const int target_depth = CeilLog2(
-      std::max<uint64_t>(1, members.size() / config_.max_leaf_peers));
-  uint64_t exchanges = 0;
-  uint64_t stable_streak = 0;
-  while (exchanges < max_exchanges && stable_streak < members.size() * 4) {
-    net::PeerId a = members[rng_.UniformU64(members.size())];
-    net::PeerId b = members[rng_.UniformU64(members.size())];
-    if (a == b) continue;
-    ++exchanges;
-    network_->CountOnly(net::MessageType::kExchange, 1);
-    NodeState& sa = paths_[a];
-    NodeState& sb = paths_[b];
-    // Meet at the longest common prefix of the two paths.
-    int cpl = 0;
-    int max_cpl = std::min(sa.path.length(), sb.path.length());
-    while (cpl < max_cpl && sa.path.Bit(cpl) == sb.path.Bit(cpl)) ++cpl;
-    bool a_ends = cpl == sa.path.length();
-    bool b_ends = cpl == sb.path.length();
-    if (a_ends && b_ends) {
-      // Same path: split if below target depth.
-      if (sa.path.length() < target_depth) {
-        sa.path = sa.path.Child(0);
-        sb.path = sb.path.Child(1);
-        stable_streak = 0;
-      } else {
-        ++stable_streak;
-      }
-    } else if (a_ends != b_ends) {
-      // One path is a strict prefix of the other: the shallower peer
-      // specializes to the unoccupied side.
-      NodeState& shallow = a_ends ? sa : sb;
-      NodeState& deep = a_ends ? sb : sa;
-      int bit = deep.path.Bit(cpl);
-      shallow.path = shallow.path.Child(1 - bit);
-      stable_streak = 0;
-    } else {
-      ++stable_streak;  // diverged: reference exchange only
-    }
-  }
-  BuildRoutingTables();
-  return exchanges;
 }
 
 std::vector<net::PeerId> PGridOverlay::PeersUnder(
@@ -214,32 +154,14 @@ size_t PGridOverlay::TableSize(net::PeerId peer) const {
   return total;
 }
 
-uint32_t PGridOverlay::PlanMaintenanceRound(double env) {
-  // Budgets accrue in member-list order; whole probes are frozen at
-  // round-start table sizes.  The plan draws no randomness.
-  maint_tasks_.clear();
-  for (net::PeerId peer : member_list_) {
-    if (!network_->IsOnline(peer)) continue;
-    const size_t table = TableSize(peer);
-    if (table == 0) continue;
-    double& budget = probe_budget_[peer];
-    budget += env * static_cast<double>(table);
-    const uint32_t probes = static_cast<uint32_t>(budget);
-    budget -= static_cast<double>(probes);
-    if (probes > 0) maint_tasks_.push_back(MaintTask{peer, probes});
-  }
-  return static_cast<uint32_t>(maint_tasks_.size());
-}
-
-void PGridOverlay::ExecuteMaintenanceTask(uint32_t task, Rng& rng) {
-  const MaintTask& t = maint_tasks_[task];
-  auto pit = paths_.find(t.peer);
+uint32_t PGridOverlay::ProbeMember(const MaintenanceTask& task, Rng& rng) {
+  auto pit = paths_.find(task.peer);
   assert(pit != paths_.end());
   NodeState& st = pit->second;
   size_t table = 0;
   for (const auto& lvl : st.levels) table += lvl.refs.size();
-  if (table == 0) return;
-  for (uint32_t p = 0; p < t.probes; ++p) {
+  if (table == 0) return 0;
+  for (uint32_t p = 0; p < task.probes; ++p) {
     // Pick a random reference uniformly across levels, drawing from the
     // caller Rng only.
     size_t idx = rng.UniformU64(table);
@@ -248,12 +170,12 @@ void PGridOverlay::ExecuteMaintenanceTask(uint32_t task, Rng& rng) {
         net::PeerId target = lvl.refs[idx];
         net::Message probe;
         probe.type = net::MessageType::kRoutingProbe;
-        probe.from = t.peer;
+        probe.from = task.peer;
         probe.to = target;
         network_->Send(probe);
         if (!network_->IsOnline(target)) {
           // Re-pick a live peer from the same sibling subtree (repair is
-          // free, piggybacked -- same assumption as ChordMaintenance).  It
+          // free, piggybacked -- the same assumption as Chord).  It
           // writes only this member's reference slot; the candidate scan
           // reads other members' paths, which are frozen for the phase.
           int level = static_cast<int>(&lvl - st.levels.data());
@@ -271,13 +193,7 @@ void PGridOverlay::ExecuteMaintenanceTask(uint32_t task, Rng& rng) {
       idx -= lvl.refs.size();
     }
   }
-}
-
-uint64_t PGridOverlay::FinishMaintenanceRound() {
-  uint64_t probes = 0;
-  for (const MaintTask& t : maint_tasks_) probes += t.probes;
-  maint_tasks_.clear();
-  return probes;
+  return task.probes;  // every pick lands on a reference and is sent
 }
 
 uint64_t PGridOverlay::RoutingFingerprint() const {

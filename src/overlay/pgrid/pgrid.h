@@ -12,13 +12,8 @@
 // (design note: the paper's analysis is "generic enough such that it can
 // be adapted to suit most other DHT proposals").
 //
-// Construction is available in two modes:
-//  * Balanced assignment (default): paths are assigned by recursive
-//    halving -- deterministic, used by the cost experiments.
-//  * Exchange-based (BuildByExchanges): random pairwise meetings split and
-//    refine paths as in the P-Grid bootstrap protocol; message cost is
-//    counted as kExchange.  A test verifies both converge to tries with
-//    complete key-space coverage.
+// Construction assigns paths by recursive halving of the (shuffled)
+// member set: a balanced trie, built free like the other overlays.
 
 #ifndef PDHT_OVERLAY_PGRID_PGRID_H_
 #define PDHT_OVERLAY_PGRID_PGRID_H_
@@ -47,13 +42,6 @@ class PGridOverlay : public StructuredOverlay {
   /// Balanced path assignment + routing table construction (free, like
   /// ChordOverlay::SetMembers).
   void SetMembers(const std::vector<net::PeerId>& members) override;
-
-  /// Exchange-based construction: starts all members at the empty path and
-  /// runs random pairwise exchanges until paths stabilize (or the round
-  /// budget is exhausted).  Counts kExchange messages.  Returns the number
-  /// of exchanges performed.
-  uint64_t BuildByExchanges(const std::vector<net::PeerId>& members,
-                            uint64_t max_exchanges);
 
   bool IsMember(net::PeerId peer) const override;
   size_t num_members() const override { return paths_.size(); }
@@ -92,17 +80,7 @@ class PGridOverlay : public StructuredOverlay {
                 std::vector<RouteCandidate>* out) override;
 
   /// Total routing references of `peer` (for maintenance sizing).
-  size_t TableSize(net::PeerId peer) const;
-
-  /// Probe-based maintenance (same env semantics as ChordMaintenance):
-  /// probes random references, re-picks dead ones.  Plan consumes the
-  /// fractional probe budgets in member-list order; a task probes and
-  /// repairs only the owning member's reference lists, drawing from the
-  /// caller Rng (repair candidate scans read only other members'
-  /// immutable paths, so distinct tasks are race-free).
-  uint32_t PlanMaintenanceRound(double env) override;
-  void ExecuteMaintenanceTask(uint32_t task, Rng& rng) override;
-  uint64_t FinishMaintenanceRound() override;
+  size_t TableSize(net::PeerId peer) const override;
 
   /// Order-sensitive hash over paths and per-level reference lists of
   /// every member (determinism-test hook).
@@ -129,6 +107,12 @@ class PGridOverlay : public StructuredOverlay {
     std::vector<LevelRefs> levels;  // levels[l]: refs for level l
   };
 
+  /// Probe-based maintenance: probes random references and re-picks
+  /// dead ones.  Repairs replace entries in place, so reference-list
+  /// sizes don't change mid-round, and the candidate scans read only
+  /// other members' immutable paths.
+  uint32_t ProbeMember(const MaintenanceTask& task, Rng& rng) override;
+
   void BuildRoutingTables();
   /// Rebuilds `peer`'s per-level references (no-op for non-members);
   /// touches only that peer's entry, so distinct peers may rebuild
@@ -141,16 +125,6 @@ class PGridOverlay : public StructuredOverlay {
   PGridConfig config_;
   std::unordered_map<net::PeerId, NodeState> paths_;
   std::vector<net::PeerId> member_list_;
-  std::unordered_map<net::PeerId, double> probe_budget_;
-
-  /// One maintenance task: all of a member's probes for the
-  /// round, frozen at plan time (reference-list sizes don't change
-  /// mid-round: repair replaces entries in place).
-  struct MaintTask {
-    net::PeerId peer = net::kInvalidPeer;
-    uint32_t probes = 0;
-  };
-  std::vector<MaintTask> maint_tasks_;
 
   /// Per-lookup routing state, one entry per lookup slot (set in
   /// StartLookup; concurrent walks each run under their own

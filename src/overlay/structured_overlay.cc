@@ -21,15 +21,43 @@ LookupResult StructuredOverlay::Lookup(net::PeerId origin, uint64_t key) {
   return driver_.Route(*this, origin, key);
 }
 
-void StructuredOverlay::ExecuteMaintenanceChunk(uint64_t seed,
-                                                uint32_t chunk,
-                                                uint32_t num_tasks) {
-  Rng rng(Mix64(HashCombine(seed, chunk)));
-  const uint32_t end =
-      std::min(num_tasks, (chunk + 1) * kMaintenanceChunk);
-  for (uint32_t task = chunk * kMaintenanceChunk; task < end; ++task) {
-    ExecuteMaintenanceTask(task, rng);
+uint32_t StructuredOverlay::PlanMaintenanceRound(double env) {
+  maint_tasks_.clear();
+  const std::vector<net::PeerId>& mem = members();
+  for (uint32_t i = 0; i < mem.size(); ++i) {
+    const net::PeerId peer = mem[i];
+    if (!network_->IsOnline(peer)) continue;
+    const size_t table = TableSize(peer);
+    if (table == 0) continue;
+    double& carry = maint_carry_[peer];
+    carry += env * static_cast<double>(table);
+    // The whole-probe count is frozen here, at the round-start table
+    // size (repairs that shrink a table mid-round don't shift this
+    // round's budget).
+    const uint32_t probes = static_cast<uint32_t>(carry);
+    carry -= static_cast<double>(probes);
+    if (probes > 0) maint_tasks_.push_back(MaintenanceTask{peer, i, probes});
   }
+  maint_sent_.assign(maint_tasks_.size(), 0);
+  return static_cast<uint32_t>(maint_tasks_.size());
+}
+
+void StructuredOverlay::ExecuteMaintenanceChunk(uint64_t seed,
+                                                uint32_t chunk) {
+  Rng rng(Mix64(HashCombine(seed, chunk)));
+  const size_t end = std::min<size_t>(maint_tasks_.size(),
+                                      (chunk + 1) * kMaintenanceChunk);
+  for (size_t task = chunk * kMaintenanceChunk; task < end; ++task) {
+    maint_sent_[task] = ProbeMember(maint_tasks_[task], rng);
+  }
+}
+
+uint64_t StructuredOverlay::FinishMaintenanceRound() {
+  uint64_t sent = 0;
+  for (uint32_t s : maint_sent_) sent += s;
+  maint_tasks_.clear();
+  maint_sent_.clear();
+  return sent;
 }
 
 uint64_t StructuredOverlay::RunMaintenanceRound(double env) {
@@ -37,7 +65,7 @@ uint64_t StructuredOverlay::RunMaintenanceRound(double env) {
   const uint64_t seed =
       Mix64(HashCombine(0x6d61696e74ULL, maint_rounds_++));  // "maint"
   for (uint32_t c = 0; c * kMaintenanceChunk < tasks; ++c) {
-    ExecuteMaintenanceChunk(seed, c, tasks);
+    ExecuteMaintenanceChunk(seed, c);
   }
   return FinishMaintenanceRound();
 }

@@ -24,8 +24,10 @@
 //  * Every hop attempt is one kDhtLookup on the shared Network (design
 //    decision #5: protocols never self-report costs).
 //  * Maintenance spends env probe messages per routing entry per online
-//    member per round (Eq. 8 semantics, fractional budgets carry), as a
-//    plan/execute/finish split the round engine can parallelize.
+//    member per round (Eq. 8 semantics, fractional budgets carry).  The
+//    base owns that rule -- the carry, the plan and the finish -- as a
+//    plan/execute/finish split the round engine can parallelize; a
+//    backend supplies only TableSize and ProbeMember.
 //  * ResponsiblePeers returns the key's replica group, responsible member
 //    first.  The default spreads the remaining repl-1 replicas over
 //    hash-derived members (successor-consecutive replicas would overflow
@@ -55,6 +57,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -276,29 +279,37 @@ class StructuredOverlay {
   /// Default: 64 uniform draws from members(), then a linear fallback.
   virtual net::PeerId RandomOnlineMember(Rng& rng) const;
 
-  // --- Maintenance and rejoin (implemented by backends) -----------------
+  // --- Maintenance (one rule, owned here) and rejoin ---------------------
   //
-  // Probe-based maintenance (Eq. 8): env probes per routing entry per
-  // online member per round, stale entries repaired for free
-  // (piggybacked), fractional budgets carried across rounds.  One round
-  // is a plan/execute/finish split so the round engine can run the
+  // Probe-based maintenance (Eq. 8's cRtn): every online member sends env
+  // probes per routing entry per round, stale entries are repaired for
+  // free (piggybacked), and fractional budgets carry across rounds.  One
+  // round is a plan/execute/finish split so the round engine can run the
   // execute step on its worker pool:
   //
-  //  * PlanMaintenanceRound (serial) consumes the fractional probe
-  //    budgets in canonical member order and returns a task count N; the
-  //    task list is a pure function of (budgets, tables, online set).
-  //  * ExecuteMaintenanceTask (called concurrently for distinct task
-  //    indices in [0, N), any order, any thread) draws only from the
-  //    caller-provided Rng, writes only the owning member's routing
+  //  * PlanMaintenanceRound (serial) walks members() in order, adds
+  //    env * TableSize(peer) to the peer's carry and emits one task per
+  //    online member with at least one whole probe; returns the task
+  //    count.  The task list is a pure function of (carry, tables,
+  //    online set) and draws no randomness.  SetMembers never clears the
+  //    carry.
+  //  * ExecuteMaintenanceChunk (called concurrently for distinct chunks,
+  //    any order, any thread) runs each task's ProbeMember, which draws
+  //    only from the chunk's Rng, writes only the owning member's routing
   //    table, and reads shared state (membership, other tables' sizes,
   //    Network::IsOnline) that the engine keeps frozen for the phase.
   //    Probe sends go through the Network (the engine binds a counter
-  //    lane around its tasks).
-  //  * FinishMaintenanceRound (serial) merges per-task stats in task
-  //    order and returns the round's probes sent.
-  virtual uint32_t PlanMaintenanceRound(double env) = 0;
-  virtual void ExecuteMaintenanceTask(uint32_t task, Rng& rng) = 0;
-  virtual uint64_t FinishMaintenanceRound() = 0;
+  //    lane around each chunk).
+  //  * FinishMaintenanceRound (serial) returns the round's probes sent.
+
+  /// One member's share of a planned round.
+  struct MaintenanceTask {
+    net::PeerId peer = net::kInvalidPeer;
+    uint32_t member = 0;  ///< index of `peer` in members()
+    uint32_t probes = 0;  ///< whole probes granted at plan time
+  };
+
+  uint32_t PlanMaintenanceRound(double env);
 
   /// Planned tasks per execute chunk.  A task is one member's probe or
   /// two, so drivers hand out fixed chunks of consecutive tasks: one
@@ -308,19 +319,25 @@ class StructuredOverlay {
   /// Fixed, so the chunking never depends on the thread count.
   static constexpr uint32_t kMaintenanceChunk = 64;
 
-  /// Executes chunk `chunk` of a round planned with `num_tasks` tasks:
-  /// tasks [chunk * kMaintenanceChunk, ...) in index order, all drawing
-  /// from one Rng(Mix64(HashCombine(seed, chunk))).  The one stream rule
-  /// of every maintenance driver, so a task's draws never depend on which
-  /// thread or driver runs it.
-  void ExecuteMaintenanceChunk(uint64_t seed, uint32_t chunk,
-                               uint32_t num_tasks);
+  /// Executes chunk `chunk` of the planned round: tasks
+  /// [chunk * kMaintenanceChunk, ...) in index order, all drawing from one
+  /// Rng(Mix64(HashCombine(seed, chunk))).  The one stream rule of every
+  /// maintenance driver, so a task's draws never depend on which thread
+  /// or driver runs it.
+  void ExecuteMaintenanceChunk(uint64_t seed, uint32_t chunk);
+
+  /// Ends the planned round; returns its probes sent.
+  uint64_t FinishMaintenanceRound();
 
   /// One whole maintenance round, inline on the caller: plan, every chunk
   /// (seeded from this overlay's round count), finish.  Returns probes
   /// sent.  For standalone overlays (unit tests, benches); PdhtSystem
   /// drives the same calls through its worker pool.
   uint64_t RunMaintenanceRound(double env);
+
+  /// Routing entries of `peer`, the base of its probe budget; 0 for
+  /// non-members.
+  virtual size_t TableSize(net::PeerId peer) const = 0;
 
   /// A member came back online after churn downtime: rebuild exactly its
   /// routing state (free, piggybacked), drawing randomness only from
@@ -361,12 +378,22 @@ class StructuredOverlay {
   /// StartLookup-scoped state.
   virtual void ResizeLookupSlots(uint32_t n) { (void)n; }
 
+  /// Backend maintenance step: sends `task.probes` kRoutingProbe messages
+  /// from `task.peer` to entries of its own table, repairing (for free)
+  /// any entry found offline.  Returns probes sent.  See the contract
+  /// above for what it may read, write and draw.
+  virtual uint32_t ProbeMember(const MaintenanceTask& task, Rng& rng) = 0;
+
   net::Network* network_;  ///< not owned
   PeerRttFn peer_rtt_;     ///< null = RTT-blind neighbor selection
 
  private:
   RoutingDriver driver_;
   uint64_t maint_rounds_ = 0;  ///< RunMaintenanceRound calls (task seeds)
+  /// Fractional probe budget carried across rounds, per member.
+  std::unordered_map<net::PeerId, double> maint_carry_;
+  std::vector<MaintenanceTask> maint_tasks_;  ///< the planned round
+  std::vector<uint32_t> maint_sent_;  ///< probes sent, parallel to tasks
 };
 
 /// Construction-time knobs shared by all backends.  Backends read what

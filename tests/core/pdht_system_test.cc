@@ -319,6 +319,40 @@ TEST(PdhtSystemTest, TimeoutCostingPricesFailedProbesWithoutTouchingCounts) {
             snap.latency.at(PdhtSystem::kMetricLookupHopsMean));
 }
 
+TEST(PdhtSystemTest, LinkDelayMeanExcludesProbeTimeoutWaits) {
+  // Timeout costing charges a wait per failed probe but changes no
+  // routing decision, so both runs send the same messages over the same
+  // links and the mean link delay must not move.  A mean taken as
+  // total_latency_s() / DeferredCount() would also count the waits.
+  SystemConfig plain = BaseConfig(Strategy::kPartialTtl);
+  plain.delivery_model = net::DeliveryModelKind::kLatency;
+  plain.proximity_routing = false;
+  plain.route_proximity = false;
+  plain.churn.enabled = true;  // failed probes need stale entries
+  plain.churn.mean_online_s = 600.0;
+  plain.churn.mean_offline_s = 120.0;
+  SystemConfig timed = plain;
+  timed.timeout_costing = true;
+
+  PdhtSystem a(plain);
+  PdhtSystem b(timed);
+  a.RunRounds(30);
+  b.RunRounds(30);
+  ASSERT_GT(b.network().TimeoutCount(), 0u);
+  ASSERT_EQ(a.network().DeferredCount(), b.network().DeferredCount());
+  const double plain_ms =
+      a.Snapshot(10).latency.at(PdhtSystem::kMetricLinkDelayMean);
+  const double timed_ms =
+      b.Snapshot(10).latency.at(PdhtSystem::kMetricLinkDelayMean);
+  EXPECT_GT(plain_ms, 0.0);
+  EXPECT_DOUBLE_EQ(timed_ms, plain_ms);
+  // Without timeouts the latency sum holds link delays only.
+  EXPECT_NEAR(plain_ms,
+              a.network().total_latency_s() * 1e3 /
+                  static_cast<double>(a.network().DeferredCount()),
+              1e-9 * plain_ms);
+}
+
 TEST(PdhtSystemTest, LookupRttQuantilesNeverInvert) {
   // bench_latency's chord/+timeout cell on its own seed: Table 1 at 1/14
   // scale with churn, latency delivery, table and route PNS, and timeout

@@ -119,6 +119,39 @@ TEST_P(BackendParity, MaintenanceRoundsDontLoseMembership) {
   EXPECT_GT(successes, 25);
 }
 
+TEST_P(BackendParity, MaintenanceSpendsTheEq8Budget) {
+  // Eq. 8's cRtn: every online member sends env probes per routing entry
+  // per round, fractions carried.  env = 0.5 is exact in binary, so the
+  // carry arithmetic is exact: the probes sent trail the accrued budget
+  // env * sum(TableSize) by the summed carries, each in [0, 1).
+  ASSERT_NE(ov, nullptr);
+  ov->SetMembers(members);
+  for (int round = 0; round < 5; ++round) {
+    EXPECT_EQ(ov->RunMaintenanceRound(0.0), 0u);
+  }
+  constexpr double kEnv = 0.5;
+  double budget = 0.0;
+  uint64_t probes = 0;
+  auto run_round = [&] {
+    for (net::PeerId p : ov->members()) {
+      if (!net.IsOnline(p)) continue;
+      budget += kEnv * static_cast<double>(ov->TableSize(p));
+    }
+    probes += ov->RunMaintenanceRound(kEnv);
+    EXPECT_EQ(counters.Value("msg.maint.probe"), probes);
+    EXPECT_LE(static_cast<double>(probes), budget);
+    EXPECT_GT(static_cast<double>(probes), budget - kMembers);
+  };
+  for (int round = 0; round < 20; ++round) run_round();
+  EXPECT_GT(probes, 0u);
+  // Offline members send nothing: the budget above accrues only over
+  // online members, so a probe from an offline one would overrun it.
+  for (uint32_t i = 0; i < kMembers; i += 4) net.SetOnline(i, false);
+  for (int round = 0; round < 20; ++round) run_round();
+  for (net::PeerId p : members) net.SetOnline(p, false);
+  EXPECT_EQ(ov->RunMaintenanceRound(kEnv), 0u);
+}
+
 /// One trace, synthesized once, replayed verbatim by every backend: the
 /// paper's controlled-comparison methodology.
 const metadata::QueryTrace& SharedTrace() {

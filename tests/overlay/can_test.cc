@@ -163,21 +163,6 @@ TEST(CanOverlayTest, RoutesAroundOfflineZones) {
   EXPECT_GT(static_cast<double>(ok) / attempts, 0.75);
 }
 
-TEST(CanOverlayTest, MaintenanceProbesFlowAndAreCounted) {
-  CanFixture f(64, 15);
-  uint64_t probes = 0;
-  for (int r = 0; r < 20; ++r) probes += f.can.RunMaintenanceRound(0.5);
-  EXPECT_GT(probes, 0u);
-  EXPECT_EQ(f.counters.Value("msg.maint.probe"), probes);
-  // Budget: ~env * tableSize per peer per round.
-  double expected = 0.0;
-  for (net::PeerId p : f.can.members()) {
-    expected += 0.5 * static_cast<double>(f.can.TableSize(p));
-  }
-  expected *= 20;
-  EXPECT_NEAR(static_cast<double>(probes), expected, expected * 0.05 + 64);
-}
-
 TEST(CanOverlayTest, RandomOnlineMemberSkipsOffline) {
   CanFixture f(16);
   for (uint32_t i = 0; i < 16; ++i) {

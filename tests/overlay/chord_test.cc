@@ -84,20 +84,6 @@ TEST(ChordTest, ResponsibilityPartitionsKeySpace) {
   EXPECT_GT(owners.size(), 64u);
 }
 
-TEST(ChordTest, ResponsibleReplicasAreSuccessors) {
-  ChordFixture f(32);
-  auto reps = f.chord.ResponsibleReplicas(99, 5);
-  ASSERT_EQ(reps.size(), 5u);
-  EXPECT_EQ(reps[0], f.chord.ResponsibleMember(99));
-  std::set<net::PeerId> unique(reps.begin(), reps.end());
-  EXPECT_EQ(unique.size(), 5u);
-}
-
-TEST(ChordTest, ReplicasClampedToRingSize) {
-  ChordFixture f(4);
-  EXPECT_EQ(f.chord.ResponsibleReplicas(1, 50).size(), 4u);
-}
-
 TEST(ChordTest, LookupReachesResponsible) {
   ChordFixture f(200);
   for (uint64_t key = 0; key < 50; ++key) {
@@ -198,37 +184,6 @@ TEST(ChordTest, FailedProbesCostMessages) {
     EXPECT_GE(r.messages, r.hops);  // failures add messages beyond hops
   }
   EXPECT_GT(total_failed, 0u);
-}
-
-TEST(ChordTest, AddMemberMaintainsInvariants) {
-  ChordFixture f(50);
-  f.chord.AddMember(1000);
-  f.chord.AddMember(1001);
-  EXPECT_EQ(f.chord.num_members(), 52u);
-  EXPECT_EQ(f.chord.CheckInvariants(), "");
-  EXPECT_TRUE(f.chord.IsMember(1000));
-  // Join traffic was accounted.
-  EXPECT_GT(f.counters.Value("msg.overlay.join"), 0u);
-}
-
-TEST(ChordTest, AddMemberIsIdempotent) {
-  ChordFixture f(10);
-  f.chord.AddMember(3);  // already a member
-  EXPECT_EQ(f.chord.num_members(), 10u);
-}
-
-TEST(ChordTest, RemoveMemberShrinksRing) {
-  ChordFixture f(20);
-  f.chord.RemoveMember(5);
-  EXPECT_EQ(f.chord.num_members(), 19u);
-  EXPECT_FALSE(f.chord.IsMember(5));
-  EXPECT_EQ(f.chord.CheckInvariants(), "");
-  // Lookups still work after departure + refresh.
-  for (uint32_t i = 0; i < 20; ++i) {
-    if (i != 5) f.chord.RefreshNode(i);
-  }
-  LookupResult r = f.chord.Lookup(0, 42);
-  EXPECT_TRUE(r.success);
 }
 
 TEST(ChordTest, RandomOnlineMemberSkipsOffline) {

@@ -215,43 +215,6 @@ TEST(PGridTest, MaintenanceRepairsDeadRefs) {
   EXPECT_GT(f.counters.Value("msg.maint.probe"), 0u);
 }
 
-TEST(PGridTest, ExchangeConstructionConvergesToValidTrie) {
-  pdht::CounterRegistry counters;
-  net::Network net(&counters);
-  PGridOverlay grid(&net, Rng(21), PGridConfig{});
-  std::vector<net::PeerId> members;
-  for (uint32_t i = 0; i < 64; ++i) {
-    members.push_back(i);
-    net.SetOnline(i, true);
-  }
-  uint64_t exchanges = grid.BuildByExchanges(members, 2000000);
-  EXPECT_GT(exchanges, 0u);
-  EXPECT_GT(counters.Value("msg.overlay.exchange"), 0u);
-  // Coverage: every key id must have at least one responsible peer.
-  for (uint64_t key = 0; key < 200; ++key) {
-    EXPECT_NE(grid.ResponsibleMember(key), net::kInvalidPeer) << key;
-  }
-}
-
-TEST(PGridTest, ExchangePathsReachTargetDepthOnAverage) {
-  pdht::CounterRegistry counters;
-  net::Network net(&counters);
-  PGridOverlay grid(&net, Rng(23), PGridConfig{});
-  std::vector<net::PeerId> members;
-  for (uint32_t i = 0; i < 128; ++i) {
-    members.push_back(i);
-    net.SetOnline(i, true);
-  }
-  grid.BuildByExchanges(members, 2000000);
-  double total_len = 0;
-  for (net::PeerId p : grid.members()) {
-    total_len += grid.PathOf(p).length();
-  }
-  double avg = total_len / 128.0;
-  EXPECT_GT(avg, 4.0);  // target depth log2(128) = 7
-  EXPECT_LE(avg, 7.5);
-}
-
 TEST(PGridTest, TableSizeNonZeroAfterBuild) {
   PGridFixture f(64);
   for (net::PeerId p : f.grid.members()) {

@@ -58,9 +58,8 @@ class ScriptedOverlay : public StructuredOverlay {
     out->assign(replica_group.begin(), replica_group.end());
     if (out->size() > count) out->resize(count);
   }
-  uint32_t PlanMaintenanceRound(double) override { return 0; }
-  void ExecuteMaintenanceTask(uint32_t, Rng&) override {}
-  uint64_t FinishMaintenanceRound() override { return 0; }
+  size_t TableSize(net::PeerId) const override { return 0; }
+  uint32_t ProbeMember(const MaintenanceTask&, Rng&) override { return 0; }
   void RejoinNode(net::PeerId, Rng&) override {}
 
   bool StartLookup(net::PeerId, uint64_t, net::PeerId* responsible) override {
