@@ -28,6 +28,11 @@
 //   --json=<path>    machine-readable baseline output, for the benches
 //                    that emit one (bench_perf_roundloop, bench_latency);
 //                    ignored by the rest
+//   --help, -h       print the flag list and exit 0 without running
+//
+// Any other flag is an error: it is printed to stderr with the flag list
+// and the binary exits 2 before running (a typo must not start a full
+// run, least of all one that rewrites a committed baseline).
 //
 // Smoke mode: when --rounds undercuts the bench's default budget the run
 // is marked as a smoke run -- shape checks are still evaluated and
@@ -93,6 +98,27 @@ struct BenchFlags {
   }
 };
 
+/// The shared flag list (see the top of this file).
+inline void PrintBenchUsage(std::FILE* out, const char* prog) {
+  std::fprintf(
+      out,
+      "usage: %s [flags]\n"
+      "  --csv=<path>          write the main table as CSV\n"
+      "  --json=<path>         machine-readable baseline output (benches "
+      "that emit one)\n"
+      "  --threads=<n>         experiment-runner threads (0 = one per "
+      "hardware thread; env PDHT_THREADS)\n"
+      "  --seeds=<n>           independent seeds per grid cell (default 4)\n"
+      "  --rounds=<n>          simulated rounds per cell (below the "
+      "default = smoke run)\n"
+      "  --sim-threads=<list>  in-simulation thread counts, e.g. 1,4,auto\n"
+      "  --phase-times         per-phase wall-clock breakdown "
+      "(bench_perf_roundloop)\n"
+      "  --full                paper-scale scenario where supported\n"
+      "  --help, -h            print this list and exit\n",
+      prog);
+}
+
 inline BenchFlags ParseBenchFlags(int argc, char** argv) {
   BenchFlags f;
   if (const char* env = std::getenv("PDHT_THREADS")) {
@@ -135,9 +161,13 @@ inline BenchFlags ParseBenchFlags(int argc, char** argv) {
       f.full = true;
     } else if (arg == "--phase-times") {
       f.phase_times = true;
+    } else if (arg == "--help" || arg == "-h") {
+      PrintBenchUsage(stdout, argv[0]);
+      std::exit(0);
     } else {
-      std::fprintf(stderr, "warning: ignoring unknown flag '%s'\n",
-                   arg.c_str());
+      std::fprintf(stderr, "unknown flag '%s'\n", arg.c_str());
+      PrintBenchUsage(stderr, argv[0]);
+      std::exit(2);
     }
   }
   return f;

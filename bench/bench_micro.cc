@@ -1,7 +1,8 @@
 // google-benchmark microbenchmarks for the hot primitives of the library:
 // RNG, Zipf sampling, TTL-index operations, Chord lookups, analytical
-// model evaluation.  These guard the simulator's throughput (a 20,000-peer
-// run issues millions of these operations).
+// model evaluation, and the unstructured search (flood, content oracle,
+// content placement).  These guard the simulator's throughput (a
+// 20,000-peer run issues millions of these operations).
 
 #include <benchmark/benchmark.h>
 
@@ -10,6 +11,9 @@
 #include "model/selection_model.h"
 #include "net/network.h"
 #include "overlay/dht/chord.h"
+#include "overlay/unstructured/flooding.h"
+#include "overlay/unstructured/random_graph.h"
+#include "overlay/unstructured/replication.h"
 #include "util/rng.h"
 #include "util/zipf.h"
 
@@ -117,6 +121,70 @@ void BM_SelectionModelEvaluate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SelectionModelEvaluate);
+
+// Table 1's peers and replication (20,000 peers, repl 50).
+constexpr uint32_t kTable1Peers = 20000;
+constexpr uint32_t kTable1Repl = 50;
+
+// One unbounded flood over 20,000 peers (degree 6, a third offline) from
+// a rotating online origin.  Arg 0 floods for an absent key (no hit, the
+// oracle is asked at every fresh peer); arg 1 for a key with 50 holders
+// (a hit early on, then the flood only spreads).  Items are copies sent.
+void BM_FloodSearch(benchmark::State& state) {
+  Rng rng(11);
+  overlay::RandomGraph graph(kTable1Peers, 6.0, &rng);
+  CounterRegistry counters;
+  net::Network net(&counters);
+  Rng off(12);
+  std::vector<net::PeerId> origins;
+  for (uint32_t i = 0; i < kTable1Peers; ++i) {
+    const bool online = off.UniformU64(3) != 0;
+    net.SetOnline(i, online);
+    if (online && origins.size() < 64) origins.push_back(i);
+  }
+  overlay::ReplicaPlacement placement(kTable1Peers, kTable1Repl, Rng(13));
+  placement.PlaceKeys(1);  // key 0 has 50 holders; key 1 has none
+  overlay::FloodSearch flood(
+      &graph, &net, [&placement](net::PeerId peer, uint64_t key) {
+        return placement.PeerHoldsKey(peer, key);
+      });
+  const uint64_t key = state.range(0) == 0 ? 1 : 0;
+  uint64_t copies = 0;
+  size_t next = 0;
+  for (auto _ : state) {
+    overlay::FloodResult r =
+        flood.Search(origins[next++ % origins.size()], key, kTable1Peers);
+    copies += r.messages;
+    benchmark::DoNotOptimize(r.peers_reached);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(copies));
+}
+BENCHMARK(BM_FloodSearch)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+// The content oracle at Table 1's placement (40,000 keys), random peer
+// and key.
+void BM_PeerHoldsKey(benchmark::State& state) {
+  constexpr uint64_t kKeys = 40000;
+  overlay::ReplicaPlacement placement(kTable1Peers, kTable1Repl, Rng(14));
+  placement.PlaceKeys(kKeys);
+  Rng pick(15);
+  for (auto _ : state) {
+    const auto peer = static_cast<net::PeerId>(pick.UniformU64(kTable1Peers));
+    benchmark::DoNotOptimize(
+        placement.PeerHoldsKey(peer, pick.UniformU64(kKeys)));
+  }
+}
+BENCHMARK(BM_PeerHoldsKey);
+
+// Placing 40,000 keys x 50 holders over 20,000 peers (Table 1's setup).
+void BM_PlaceKeys(benchmark::State& state) {
+  for (auto _ : state) {
+    overlay::ReplicaPlacement placement(kTable1Peers, kTable1Repl, Rng(16));
+    placement.PlaceKeys(40000);
+    benchmark::DoNotOptimize(placement.PeerHoldsKey(0, 0));
+  }
+}
+BENCHMARK(BM_PlaceKeys)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -306,7 +306,15 @@ const std::vector<net::PeerId>& PdhtSystem::IndexReplicasInto(
   return *out;
 }
 
-void PdhtSystem::IncResidency(uint64_t key) { ++residency_[key]; }
+void PdhtSystem::PutIndexEntry(net::PeerId peer, uint64_t key, double now,
+                               double ttl) {
+  TtlIndex& index = nodes_[peer].index();
+  // A Put of a key the shard already holds is a refresh: no shard gained.
+  const bool held = index.ExpiryOf(key) != TtlIndex::kNever;
+  const uint64_t displaced = index.Put(key, now, ttl);
+  if (displaced != TtlIndex::kNoKey) DecResidency(displaced);
+  if (!held) ++residency_[key];
+}
 
 void PdhtSystem::DecResidency(uint64_t key) {
   auto it = residency_.find(key);
@@ -333,9 +341,7 @@ void PdhtSystem::PreloadIndex() {
                        ? r - 1
                        : workload_->KeyAtRank(r);
     for (net::PeerId rep : IndexReplicasOf(key)) {
-      uint64_t displaced = nodes_[rep].index().Put(key, 0.0, kForever);
-      if (displaced != TtlIndex::kNoKey) DecResidency(displaced);
-      IncResidency(key);
+      PutIndexEntry(rep, key, 0.0, kForever);
     }
   }
 }
@@ -926,9 +932,7 @@ void PdhtSystem::PublishQueryWave(size_t begin, size_t end) {
       const double ttl = EffectiveKeyTtl();
       for (net::PeerId rep : IndexReplicasOf(t.key)) {
         if (!network_->IsOnline(rep)) continue;  // offline replicas pull later
-        uint64_t displaced = nodes_[rep].index().Put(t.key, now, ttl);
-        if (displaced != TtlIndex::kNoKey) DecResidency(displaced);
-        IncResidency(t.key);
+        PutIndexEntry(rep, t.key, now, ttl);
       }
     }
     // (4) Latency samples (P^2 sketches are order-sensitive).
@@ -1109,9 +1113,7 @@ void PdhtSystem::RunUpdateActor(sim::RoundContext& /*ctx*/) {
     const uint64_t key = update_tasks_[task];
     for (net::PeerId rep : IndexReplicasOf(key)) {
       if (!network_->IsOnline(rep)) continue;
-      uint64_t displaced = nodes_[rep].index().Put(key, now, kForever);
-      if (displaced != TtlIndex::kNoKey) DecResidency(displaced);
-      IncResidency(key);
+      PutIndexEntry(rep, key, now, kForever);
     }
   }
 }
@@ -1235,6 +1237,43 @@ double PdhtSystem::TailMessageRate(size_t tail) const {
 
 double PdhtSystem::TailHitRate(size_t tail) const {
   return engine_.Series(kSeriesHitRate).TailMean(tail);
+}
+
+std::string PdhtSystem::CheckInvariants() const {
+  const CounterRegistry& counters = engine_.counters();
+  uint64_t by_type = 0;
+  // kCount itself names the "msg.invalid" slot.
+  for (size_t t = 0; t <= static_cast<size_t>(net::MessageType::kCount);
+       ++t) {
+    by_type += network_->MessagesOfType(static_cast<net::MessageType>(t));
+  }
+  const uint64_t total = network_->TotalMessages();
+  if (by_type != total) {
+    return "msg.total " + std::to_string(total) +
+           " != per-type sum " + std::to_string(by_type);
+  }
+  const uint64_t lost = counters.Value("net.lost");
+  if (lost > total) {
+    return "net.lost " + std::to_string(lost) + " > msg.total " +
+           std::to_string(total);
+  }
+  std::unordered_map<uint64_t, uint32_t> recount;
+  for (const PdhtNode& node : nodes_) {
+    node.index().ForEachKey([&recount](uint64_t key) { ++recount[key]; });
+  }
+  for (const auto& [key, shards] : residency_) {
+    auto it = recount.find(key);
+    const uint32_t held = it == recount.end() ? 0 : it->second;
+    if (held != shards) {
+      return "residency of key " + std::to_string(key) + " is " +
+             std::to_string(shards) + ", recount " + std::to_string(held);
+    }
+  }
+  if (recount.size() != residency_.size()) {
+    return "recount holds " + std::to_string(recount.size()) +
+           " keys, residency " + std::to_string(residency_.size());
+  }
+  return "";
 }
 
 RunSnapshot PdhtSystem::Snapshot(size_t tail) const {

@@ -280,6 +280,14 @@ class PdhtSystem {
   /// Measures the run so far into a plain value (see RunSnapshot).
   RunSnapshot Snapshot(size_t tail) const;
 
+  /// Checks the bookkeeping between rounds and returns the first broken
+  /// invariant, or an empty string:
+  ///  - "msg.total" equals the sum of the per-type message counters, and
+  ///    "net.lost" is at most "msg.total";
+  ///  - the key residency map equals a recount over every node's index.
+  /// O(peers + index slots); meant for tests.
+  std::string CheckInvariants() const;
+
   /// Mean total messages per round over the last `tail` rounds.
   double TailMessageRate(size_t tail) const;
 
@@ -377,7 +385,11 @@ class PdhtSystem {
   void RunQueryActor(sim::RoundContext& ctx);
   void RunUpdateActor(sim::RoundContext& ctx);
   void RunEvictionActor(sim::RoundContext& ctx);
-  void IncResidency(uint64_t key);
+  /// Puts `key` into `peer`'s index shard and keeps residency_ in step:
+  /// the displaced key, if any, loses a shard, and `key` gains one unless
+  /// the shard already held it.
+  void PutIndexEntry(net::PeerId peer, uint64_t key, double now,
+                     double ttl);
   void DecResidency(uint64_t key);
 
   // --- Round engine (see docs/architecture.md) --------------------------

@@ -50,6 +50,8 @@ void Network::Register(PeerId peer, MessageHandler* handler) {
     online_pos_[peer] = static_cast<uint32_t>(online_list_.size());
     online_list_.push_back(peer);
   }
+  if (handlers_[peer] == nullptr && handler != nullptr) ++num_handlers_;
+  if (handlers_[peer] != nullptr && handler == nullptr) --num_handlers_;
   handlers_[peer] = handler;
 }
 
@@ -124,7 +126,7 @@ void Network::ScheduleArrival(const Message& msg, double delay_s) {
   }
 }
 
-bool Network::SendDeferred(const Message& msg) {
+void Network::SendDeferred(const Message& msg) {
   const double delay = delivery_->LinkDelaySeconds(msg.from, msg.to);
   latency_sum_s_ += delay;
   type_latency_ms_[TypeIndex(msg.type)].Add(delay * 1e3);
@@ -133,10 +135,9 @@ bool Network::SendDeferred(const Message& msg) {
   // (2x one-way as the round-trip proxy).  Serial path: safe to mutate.
   if (rtt_observer_ != nullptr) rtt_observer_->Observe(msg.to, 2e3 * delay);
   ScheduleArrival(msg, delay);
-  return true;
 }
 
-bool Network::LaneSendDeferred(ShardLane& lane, const Message& msg) {
+void Network::LaneSendDeferred(ShardLane& lane, const Message& msg) {
   // Charge the model's delay into the lane only; the shared latency sum,
   // histogram sample and event scheduling happen at the merge barrier
   // (CommitDeferred), serially and in task order.
@@ -144,7 +145,17 @@ bool Network::LaneSendDeferred(ShardLane& lane, const Message& msg) {
   lane.counter_delta[deferred_id_] += 1;
   lane.latency_s += delay;
   lane.deferred.push_back(ShardLane::Deferred{msg, delay, false});
-  return true;
+}
+
+void Network::DeliverEachSlow(const Message& msg,
+                              std::span<const PeerId> peers) {
+  Message copy = msg;
+  ShardLane* lane = tls_lane_;
+  for (PeerId p : peers) {
+    if (!IsOnline(p)) continue;
+    copy.to = p;
+    DeliverOnline(lane, copy);
+  }
 }
 
 void Network::CommitDeferred(const ShardLane::Deferred& d) {

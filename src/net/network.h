@@ -6,6 +6,15 @@
 // implementation from under-reporting its cost and gives the benches a
 // single source of truth.
 //
+// The one exception is the flood (overlay/unstructured/flooding.h).  At
+// the paper's Table 1 operating point it sends ~99% of all messages, and
+// one Send per copy cost ~19 ns of query phase per copy.  So a flood
+// tallies its copies itself and hands the network one count per search
+// (CountSends: the same type, "msg.total" and "net.lost" increments as
+// that many Send calls), and routes only the copies whose delivery does
+// more than count -- a deferred arrival under a latency model, or a
+// registered handler -- through DeliverEach, in send order.
+//
 // Accounting is allocation-free: the constructor interns one CounterId
 // per MessageType plus "msg.total", so the per-message cost of Send is
 // two array increments (no string construction, no map walk).  Send is
@@ -37,6 +46,7 @@
 #include <array>
 #include <cassert>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "net/delivery_model.h"
@@ -60,11 +70,12 @@ class MessageHandler {
 /// Per-shard accounting lane for the round engine.
 ///
 /// While a lane is bound to the calling thread (Network::BeginLane), Send/
-/// CountOnly/ChargeProbeTimeout stop touching the shared CounterRegistry,
-/// latency sum, histograms and event queue; instead they accumulate into
-/// the lane: counter increments into `counter_delta` (a flat per-CounterId
-/// buffer, merged later with CounterRegistry::MergeDelta -- integer adds
-/// commute), and order-sensitive effects (deferred deliveries, timeout
+/// CountOnly/CountSends/DeliverEach/ChargeProbeTimeout stop touching the
+/// shared CounterRegistry, latency sum, histograms and event queue;
+/// instead they accumulate into the lane: counter increments into
+/// `counter_delta` (a flat per-CounterId buffer, merged later with
+/// CounterRegistry::MergeDelta -- integer adds commute), and
+/// order-sensitive effects (deferred deliveries, timeout
 /// waits, both of which feed floating-point sums, capped histograms and
 /// event scheduling) into the `deferred` log, which the engine replays
 /// serially in task order via Network::CommitDeferred so results are
@@ -99,6 +110,7 @@ class Network {
   /// Registers/replaces the handler for `peer`.  Peers without handlers
   /// swallow deliveries (counted, not processed).  First registration
   /// brings the peer online; later SetOnline calls are never clobbered.
+  /// Keeps the count of registered handlers, which DeliverEach reads.
   void Register(PeerId peer, MessageHandler* handler);
 
   /// Marks a peer online/offline.  Offline peers receive nothing.
@@ -142,12 +154,9 @@ class Network {
   bool Send(const Message& msg) {
     if (ShardLane* lane = tls_lane_; lane != nullptr) {
       // Lane mode (inside a round-engine phase): counter increments go to
-      // the lane's delta buffer.  Immediate delivery in lane mode is
-      // accounting-only -- lane phases require handler-free peers (all
-      // PDHT protocol logic runs at system level), so the delivered/lost
-      // outcome is the whole effect.  Inline: every query-phase send
-      // takes this path, and out of line it cost ~7% of the query phase
-      // on bench_perf_roundloop's scale_1_14/partialTtl row.
+      // the lane's delta buffer.  Inline: every query-phase send takes
+      // this path, and out of line it cost ~7% of the query phase on
+      // bench_perf_roundloop's scale_1_14/partialTtl row.
       uint64_t* delta = lane->counter_delta.data();
       ++delta[type_ids_[TypeIndex(msg.type)]];
       ++delta[total_id_];
@@ -155,8 +164,8 @@ class Network {
         ++delta[lost_id_];
         return false;
       }
-      assert(deferred_ || handlers_[msg.to] == nullptr);
-      return deferred_ ? LaneSendDeferred(*lane, msg) : true;
+      DeliverOnline(lane, msg);
+      return true;
     }
     counters_->Add(type_ids_[TypeIndex(msg.type)]);
     counters_->Add(total_id_);
@@ -164,12 +173,7 @@ class Network {
       counters_->Add(lost_id_);
       return false;
     }
-    if (deferred_) return SendDeferred(msg);
-    // An online peer receives the message whether or not a handler object
-    // is attached; most protocol logic in this library runs at system
-    // level and only needs the delivered/lost outcome.
-    MessageHandler* h = handlers_[msg.to];
-    if (h != nullptr) h->HandleMessage(msg);
+    DeliverOnline(nullptr, msg);
     return true;
   }
 
@@ -187,10 +191,40 @@ class Network {
     counters_->Add(total_id_, n);
   }
 
+  /// Counts `sent` sends of `type`, `lost` of them to offline or unseen
+  /// peers: exactly the counter increments (type, "msg.total",
+  /// "net.lost") of that many Send calls, in the bound lane or in the
+  /// registry.  Delivery is separate (DeliverEach).  A flood hands its
+  /// copies over with one call per search.
+  void CountSends(MessageType type, uint64_t sent, uint64_t lost) {
+    assert(lost <= sent);
+    if (ShardLane* lane = tls_lane_; lane != nullptr) {
+      uint64_t* delta = lane->counter_delta.data();
+      delta[type_ids_[TypeIndex(type)]] += sent;
+      delta[total_id_] += sent;
+      delta[lost_id_] += lost;
+      return;
+    }
+    counters_->Add(type_ids_[TypeIndex(type)], sent);
+    counters_->Add(total_id_, sent);
+    counters_->Add(lost_id_, lost);
+  }
+
+  /// The delivery half of Send for `msg` addressed to each online peer
+  /// of `peers`, in order (msg.to is overwritten per peer); nothing is
+  /// counted under the message type, "msg.total" or "net.lost" (see
+  /// CountSends).  A copy needs delivery only when it is deferred under a
+  /// latency model or lands on a registered handler, so under immediate
+  /// delivery with no handler registered this returns at once.
+  void DeliverEach(const Message& msg, std::span<const PeerId> peers) {
+    if (!deferred_ && num_handlers_ == 0) return;
+    DeliverEachSlow(msg, peers);
+  }
+
   // --- Shard lanes (round engine) -------------------------------------
 
   /// Binds `lane` to the calling thread: until EndLane, this thread's
-  /// Send/CountOnly/ChargeProbeTimeout accumulate into the lane instead of
+  /// sends, counts and charges accumulate into the lane instead of
   /// shared state (see ShardLane).  The lane must have been Prepare()d
   /// with counters()->NumCounters().  Per-thread, not per-network: a
   /// thread drives one system's phase at a time.
@@ -313,16 +347,39 @@ class Network {
   /// unseen (the Send contract: never-seen peers are unreachable).
   void EnsureSlot(PeerId peer);
 
+  /// The delivery half of Send and DeliverEach, for an online
+  /// destination.  In a lane, a deferred send is logged into it, and
+  /// immediate delivery is accounting-only (lane phases require
+  /// handler-free peers).  Otherwise a deferred send is charged and
+  /// scheduled, and an immediate one reaches the destination's handler,
+  /// if any: an online peer receives the message whether or not a
+  /// handler object is attached, since most protocol logic in this
+  /// library runs at system level and only needs the delivered/lost
+  /// outcome.
+  void DeliverOnline(ShardLane* lane, const Message& msg) {
+    if (lane != nullptr) {
+      assert(deferred_ || handlers_[msg.to] == nullptr);
+      if (deferred_) LaneSendDeferred(*lane, msg);
+    } else if (deferred_) {
+      SendDeferred(msg);
+    } else if (MessageHandler* h = handlers_[msg.to]; h != nullptr) {
+      h->HandleMessage(msg);
+    }
+  }
+
   /// The non-immediate delivery path: charges the model's link delay,
   /// records the latency sample and schedules the handler invocation on
   /// the event queue.  Out of line -- it only runs when a latency model
   /// is installed, and keeping it out of Send keeps the inline fast path
   /// small.
-  bool SendDeferred(const Message& msg);
+  void SendDeferred(const Message& msg);
 
   /// Lane-mode deferred send (after Send's lane accounting): charges the
   /// link delay into the lane and logs the send for serial replay.
-  bool LaneSendDeferred(ShardLane& lane, const Message& msg);
+  void LaneSendDeferred(ShardLane& lane, const Message& msg);
+
+  /// DeliverEach's loop, for deferred delivery or registered handlers.
+  void DeliverEachSlow(const Message& msg, std::span<const PeerId> peers);
 
   /// Schedules the arrival of a (possibly lane-logged) deferred message.
   void ScheduleArrival(const Message& msg, double delay_s);
@@ -338,6 +395,7 @@ class Network {
   // Struct-of-arrays peer state: parallel flat arrays indexed by PeerId,
   // plus a dense list of online peers for O(1) uniform draws.
   std::vector<MessageHandler*> handlers_;
+  uint32_t num_handlers_ = 0;  ///< non-null entries of handlers_
   std::vector<bool> online_;
   std::vector<bool> seen_;            ///< touched by Register/SetOnline
   std::vector<PeerId> online_list_;   ///< dense: the online peers

@@ -10,6 +10,16 @@
 // (b) as the guaranteed-coverage fallback behind random walks, preserving
 // the paper's assumption that "the search algorithm in the unstructured
 // network finds any key if it exists in the network".
+//
+// Hot path.  The walk fallback makes floods carry ~99% of the messages at
+// the paper's operating point, and ~99% of a flood's copies go out after
+// the hit, when the flood only spreads.  So the searcher counts its own
+// copies and hands the network one Network::CountSends per search, routes
+// the copies whose delivery does more than count through
+// Network::DeliverEach in send order, and after the hit sweeps each
+// neighbour list with no call in the loop.  Scratch (epoch-stamped seen
+// marks and one flat BFS frontier) lives in the searcher across calls;
+// the round engine gives each worker its own searcher.
 
 #ifndef PDHT_OVERLAY_UNSTRUCTURED_FLOODING_H_
 #define PDHT_OVERLAY_UNSTRUCTURED_FLOODING_H_
@@ -42,7 +52,8 @@ class FloodSearch {
 
   /// Floods from `origin` with the given hop TTL.  Offline peers neither
   /// process nor forward.  Every transmission is counted on the network as
-  /// kFloodQuery; a hit additionally sends one kQueryResponse.
+  /// kFloodQuery (one CountSends per search); a hit additionally sends one
+  /// kQueryResponse, right after the copy that reached the holder.
   FloodResult Search(net::PeerId origin, uint64_t key, uint32_t ttl_hops);
 
  private:
@@ -50,6 +61,13 @@ class FloodSearch {
   net::Network* network_;
   ContentOracle oracle_;
   uint64_t next_request_id_ = 1;
+  // seen_[p] == epoch_ <=> the current search reached p (after the hit
+  // offline peers are marked too; their copies are lost either way).
+  std::vector<uint32_t> seen_;
+  uint32_t epoch_ = 0;
+  // The reached peers in BFS order; one spare slot past num_nodes lets the
+  // sweep store before it knows whether the peer is fresh.
+  std::vector<net::PeerId> frontier_;
 };
 
 }  // namespace pdht::overlay

@@ -6,11 +6,17 @@
 // plus uniformly random extra edges until the target average degree is
 // reached -- the standard construction for Gnutella-style overlays in
 // simulation studies [LvCa02].
+//
+// Storage is CSR: one offsets array and one neighbour array, so a peer's
+// list is a contiguous span.  Each list keeps the order its edges were
+// drawn in; the walk picks nbrs[rng % size] and the flood sends in list
+// order, so that order is part of every seeded result.
 
 #ifndef PDHT_OVERLAY_UNSTRUCTURED_RANDOM_GRAPH_H_
 #define PDHT_OVERLAY_UNSTRUCTURED_RANDOM_GRAPH_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "net/message.h"
@@ -24,12 +30,15 @@ class RandomGraph {
   /// `avg_degree` (>= 2).  Deterministic given `rng`'s state.
   RandomGraph(uint32_t n, double avg_degree, Rng* rng);
 
-  uint32_t num_nodes() const { return static_cast<uint32_t>(adj_.size()); }
-  uint64_t num_edges() const { return num_edges_; }
+  uint32_t num_nodes() const {
+    return static_cast<uint32_t>(offsets_.size() - 1);
+  }
+  uint64_t num_edges() const { return nbrs_.size() / 2; }
   double AverageDegree() const;
 
-  const std::vector<net::PeerId>& Neighbors(net::PeerId node) const {
-    return adj_[node];
+  std::span<const net::PeerId> Neighbors(net::PeerId node) const {
+    return {nbrs_.data() + offsets_[node],
+            nbrs_.data() + offsets_[node + 1]};
   }
 
   bool HasEdge(net::PeerId a, net::PeerId b) const;
@@ -43,10 +52,8 @@ class RandomGraph {
   uint32_t Distance(net::PeerId a, net::PeerId b) const;
 
  private:
-  void AddEdge(net::PeerId a, net::PeerId b);
-
-  std::vector<std::vector<net::PeerId>> adj_;
-  uint64_t num_edges_ = 0;
+  std::vector<uint64_t> offsets_;    ///< node -> start in nbrs_; n + 1
+  std::vector<net::PeerId> nbrs_;    ///< every list, node by node
 };
 
 }  // namespace pdht::overlay

@@ -51,7 +51,7 @@ WalkResult RandomWalkSearch::Search(net::PeerId origin, uint64_t key,
     bool any_active = false;
     for (auto& w : walkers) {
       if (!w.active) continue;
-      const auto& nbrs = graph_->Neighbors(w.at);
+      const std::span<const net::PeerId> nbrs = graph_->Neighbors(w.at);
       if (nbrs.empty()) {
         w.active = false;
         continue;

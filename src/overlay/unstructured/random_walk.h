@@ -12,8 +12,12 @@
 // of Eq. 6.
 //
 // To preserve the paper's assumption that an existing key is always found,
-// a search whose walkers all expire falls back to flooding (counted; rare
-// when walk budgets are sized sensibly).
+// a search whose walkers all expire falls back to flooding (counted).  The
+// fallback is not rare under churn: a walker that steps to an offline
+// neighbour dies, so at the paper's 67% availability nearly every walk
+// search ends in a flood, and on the Table 1 benchmark workload the
+// fallback carries ~99% of all messages.  ROADMAP.md item 2 ("Walkers
+// step over live links") tracks that.
 
 #ifndef PDHT_OVERLAY_UNSTRUCTURED_RANDOM_WALK_H_
 #define PDHT_OVERLAY_UNSTRUCTURED_RANDOM_WALK_H_

@@ -10,6 +10,7 @@
 #define PDHT_OVERLAY_UNSTRUCTURED_REPLICATION_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "net/message.h"
@@ -23,13 +24,24 @@ class ReplicaPlacement {
   /// num_peers) distinct replicas.
   ReplicaPlacement(uint32_t num_peers, uint32_t repl, Rng rng);
 
-  /// Places `key` on fresh random replicas; place each key once.
-  void PlaceKey(uint64_t key);
-
-  /// Places keys 0..n-1 densely (the common bulk setup).
+  /// Places keys 0..n-1, each on fresh random replicas; call once.  Key
+  /// by key, a peer is drawn uniformly and redrawn while the key already
+  /// has it.
   void PlaceKeys(uint64_t n);
 
-  bool PeerHoldsKey(net::PeerId peer, uint64_t key) const;
+  /// The content oracle of the walk and flood searches.
+  bool PeerHoldsKey(net::PeerId peer, uint64_t key) const {
+    // No early exit: the scan stays branch-free and vectorizes.
+    bool held = false;
+    for (net::PeerId h : HoldersOf(key)) held |= h == peer;
+    return held;
+  }
+
+  /// The peers holding `key` (empty for an unplaced key), in draw order.
+  std::span<const net::PeerId> HoldersOf(uint64_t key) const {
+    if (key >= num_keys_) return {};
+    return {holders_.data() + key * want_, want_};
+  }
 
   uint32_t repl() const { return repl_; }
   uint32_t num_peers() const { return num_peers_; }
@@ -37,12 +49,13 @@ class ReplicaPlacement {
  private:
   uint32_t num_peers_;
   uint32_t repl_;
+  uint32_t want_;  ///< replicas per key: min(repl, num_peers)
   Rng rng_;
-  // peer -> sorted keys.  PeerHoldsKey is the walk search's content
-  // oracle, probed once per walker step, and a binary search over the
-  // ~keys*repl/numPeers contiguous keys a peer holds beats a hash-set
-  // probe there.
-  std::vector<std::vector<uint64_t>> held_;
+  uint64_t num_keys_ = 0;
+  // Key-major: key k's holders sit at [k * want_, (k + 1) * want_), 4 bytes
+  // each.  A search asks about one key at many peers, so the oracle scans
+  // the same few cache lines for the whole search.
+  std::vector<net::PeerId> holders_;
 };
 
 }  // namespace pdht::overlay

@@ -109,6 +109,7 @@ class RoundEngine {
   double now() const { return queue_.now(); }
   EventQueue& events() { return queue_; }
   CounterRegistry& counters() { return counters_; }
+  const CounterRegistry& counters() const { return counters_; }
 
   const TimeSeries& Series(const std::string& name) const;
   bool HasSeries(const std::string& name) const;

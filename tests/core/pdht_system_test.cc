@@ -241,6 +241,39 @@ TEST(PdhtSystemTest, ChurnKeepsSystemFunctional) {
   EXPECT_GT(sys.engine().counters().Value("msg.replica.pull"), 0u);
 }
 
+TEST(PdhtSystemTest, InvariantsHoldAfterEveryRound) {
+  // Every backend under both delivery models, churn on: walks die on
+  // offline neighbours and fall back to floods, which hand the network
+  // one count per search; the message-sum invariant guards that count.
+  // A 5-round keyTtl and 4-key shards make eviction, displacement and
+  // re-inserts of held keys happen, so the residency recount sees all
+  // three.
+  for (DhtBackend backend : overlay::RegisteredBackends()) {
+    for (net::DeliveryModelKind delivery :
+         {net::DeliveryModelKind::kImmediate,
+          net::DeliveryModelKind::kLatency}) {
+      SCOPED_TRACE(std::string(DhtBackendName(backend)) + " / " +
+                   net::DeliveryModelName(delivery));
+      SystemConfig c = BaseConfig(Strategy::kPartialTtl);
+      c.backend = backend;
+      c.delivery_model = delivery;
+      c.churn.enabled = true;
+      c.churn.mean_online_s = 120;
+      c.churn.mean_offline_s = 60;
+      c.key_ttl = 5.0;
+      c.params.stor = 4;
+      PdhtSystem sys(c);
+      ASSERT_EQ(sys.CheckInvariants(), "");
+      for (int round = 1; round <= 20; ++round) {
+        sys.RunRounds(1);
+        ASSERT_EQ(sys.CheckInvariants(), "") << "after round " << round;
+      }
+      EXPECT_GT(sys.engine().counters().Value("msg.unstructured.flood"), 0u);
+      EXPECT_GT(sys.engine().counters().Value("net.lost"), 0u);
+    }
+  }
+}
+
 TEST(PdhtSystemTest, PGridBackendWorks) {
   SystemConfig c = BaseConfig(Strategy::kPartialTtl);
   c.backend = DhtBackend::kPGrid;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 namespace pdht::overlay {
 namespace {
 
@@ -54,8 +57,45 @@ TEST(RandomGraphTest, DeterministicForSameSeed) {
   RandomGraph b(100, 4.0, &r2);
   EXPECT_EQ(a.num_edges(), b.num_edges());
   for (uint32_t u = 0; u < 100; ++u) {
-    EXPECT_EQ(a.Neighbors(u), b.Neighbors(u));
+    EXPECT_TRUE(std::ranges::equal(a.Neighbors(u), b.Neighbors(u)));
   }
+}
+
+TEST(RandomGraphTest, NeighbourListsKeepTheDrawOrder) {
+  // The construction redone with growable lists from the same draws: a
+  // random spanning tree, then random extra edges without repeats.  Each
+  // list must come out in the order its edges were drawn.
+  constexpr uint32_t kN = 500;
+  constexpr double kDegree = 6.0;
+  Rng build_rng(11);
+  RandomGraph g(kN, kDegree, &build_rng);
+
+  Rng rng(11);
+  std::vector<std::vector<net::PeerId>> adj(kN);
+  uint64_t edges = 0;
+  auto add = [&](uint32_t a, uint32_t b) {
+    adj[a].push_back(b);
+    adj[b].push_back(a);
+    ++edges;
+  };
+  for (uint32_t i = 1; i < kN; ++i) {
+    add(i, static_cast<uint32_t>(rng.UniformU64(i)));
+  }
+  const uint64_t target = static_cast<uint64_t>(kN * kDegree / 2.0);
+  for (uint64_t attempts = 0;
+       edges < target && attempts < target * 20 + 100; ++attempts) {
+    uint32_t a = static_cast<uint32_t>(rng.UniformU64(kN));
+    uint32_t b = static_cast<uint32_t>(rng.UniformU64(kN));
+    if (a == b || std::ranges::find(adj[a], b) != adj[a].end()) continue;
+    add(a, b);
+  }
+
+  EXPECT_EQ(g.num_edges(), edges);
+  for (uint32_t u = 0; u < kN; ++u) {
+    EXPECT_TRUE(std::ranges::equal(g.Neighbors(u), adj[u])) << "node " << u;
+  }
+  // Both sides consumed the same draws.
+  EXPECT_EQ(build_rng.Next(), rng.Next());
 }
 
 TEST(RandomGraphTest, DistanceBasics) {

@@ -39,7 +39,7 @@ net::PeerId FirstHolder(const ReplicaPlacement& placement, uint64_t key) {
 
 TEST(RandomWalkTest, FindsWellReplicatedKey) {
   WalkFixture f(1000, 50);
-  f.placement.PlaceKey(1);
+  f.placement.PlaceKeys(2);
   WalkResult r = f.walk.Search(0, 1);
   EXPECT_TRUE(r.found);
   EXPECT_TRUE(f.placement.PeerHoldsKey(r.found_at, 1));
@@ -47,7 +47,7 @@ TEST(RandomWalkTest, FindsWellReplicatedKey) {
 
 TEST(RandomWalkTest, LocalHitIsFree) {
   WalkFixture f(200, 20);
-  f.placement.PlaceKey(2);
+  f.placement.PlaceKeys(3);
   net::PeerId holder = FirstHolder(f.placement, 2);
   WalkResult r = f.walk.Search(holder, 2);
   EXPECT_TRUE(r.found);
@@ -62,7 +62,7 @@ TEST(RandomWalkTest, FallbackGuaranteesSuccessForExistingKeys) {
   cfg.max_steps_per_walker = 1;
   cfg.flood_fallback = true;
   WalkFixture f(300, 3, cfg);
-  f.placement.PlaceKey(9);
+  f.placement.PlaceKeys(10);
   WalkResult r = f.walk.Search(0, 9);
   EXPECT_TRUE(r.found);
 }
@@ -73,7 +73,7 @@ TEST(RandomWalkTest, NoFallbackCanFail) {
   cfg.max_steps_per_walker = 1;
   cfg.flood_fallback = false;
   WalkFixture f(300, 1, cfg);
-  f.placement.PlaceKey(9);
+  f.placement.PlaceKeys(10);
   int failures = 0;
   for (uint64_t k = 0; k < 20; ++k) {
     WalkResult r = f.walk.Search(0, 9);
@@ -130,7 +130,7 @@ TEST(RandomWalkTest, CheckMessagesAccrue) {
 
 TEST(RandomWalkTest, DistinctPeersTracked) {
   WalkFixture f(500, 2);
-  f.placement.PlaceKey(6);
+  f.placement.PlaceKeys(7);
   WalkResult r = f.walk.Search(0, 6);
   EXPECT_GE(r.distinct_peers, 1u);
   EXPECT_LE(r.distinct_peers, 500u);
@@ -138,7 +138,7 @@ TEST(RandomWalkTest, DistinctPeersTracked) {
 
 TEST(RandomWalkTest, OfflineOriginFails) {
   WalkFixture f(100, 10);
-  f.placement.PlaceKey(1);
+  f.placement.PlaceKeys(2);
   f.net.SetOnline(0, false);
   WalkResult r = f.walk.Search(0, 1);
   EXPECT_FALSE(r.found);
@@ -147,7 +147,7 @@ TEST(RandomWalkTest, OfflineOriginFails) {
 
 TEST(RandomWalkTest, SurvivesModerateChurnOfflineFraction) {
   WalkFixture f(1000, 50);
-  f.placement.PlaceKey(1);
+  f.placement.PlaceKeys(2);
   Rng off(5);
   for (uint32_t i = 0; i < 1000; ++i) {
     if (off.Bernoulli(0.3)) f.net.SetOnline(i, false);

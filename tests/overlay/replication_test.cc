@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
+#include <algorithm>
 #include <vector>
 
 namespace pdht::overlay {
@@ -19,35 +19,41 @@ std::vector<net::PeerId> Holders(const ReplicaPlacement& p, uint64_t key) {
 
 TEST(ReplicaPlacementTest, PlacesExactlyReplReplicas) {
   ReplicaPlacement p(1000, 50, Rng(1));
-  p.PlaceKey(7);
+  p.PlaceKeys(8);
   EXPECT_EQ(Holders(p, 7).size(), 50u);
 }
 
 TEST(ReplicaPlacementTest, ReplicasAreDistinctPeers) {
   // 50 draws over 100 peers repeat a peer; repeats must be redrawn.
   ReplicaPlacement p(100, 50, Rng(2));
-  p.PlaceKey(1);
+  p.PlaceKeys(2);
   EXPECT_EQ(Holders(p, 1).size(), 50u);
 }
 
 TEST(ReplicaPlacementTest, ReplClampedToPopulation) {
   ReplicaPlacement p(10, 50, Rng(3));
-  p.PlaceKey(1);
+  p.PlaceKeys(2);
   EXPECT_EQ(Holders(p, 1).size(), 10u);
 }
 
 TEST(ReplicaPlacementTest, PlacementFollowsTheDrawSequence) {
-  // Uniform draws over the population, skipping peers already chosen:
-  // the placement every seeded run depends on.
+  // Key by key, uniform draws over the population, redrawing peers the
+  // key already has: the placement every seeded run depends on.
   ReplicaPlacement p(500, 20, Rng(4));
-  p.PlaceKey(42);
+  p.PlaceKeys(200);
   Rng draws(4);
-  std::set<net::PeerId> expected;
-  while (expected.size() < 20) {
-    expected.insert(static_cast<net::PeerId>(draws.UniformU64(500)));
+  for (uint64_t k = 0; k < 200; ++k) {
+    std::vector<net::PeerId> expected;
+    while (expected.size() < 20) {
+      auto peer = static_cast<net::PeerId>(draws.UniformU64(500));
+      if (std::ranges::find(expected, peer) == expected.end()) {
+        expected.push_back(peer);
+      }
+    }
+    EXPECT_TRUE(std::ranges::equal(p.HoldersOf(k), expected)) << "key " << k;
+    std::ranges::sort(expected);
+    EXPECT_EQ(Holders(p, k), expected) << "key " << k;
   }
-  EXPECT_EQ(Holders(p, 42),
-            std::vector<net::PeerId>(expected.begin(), expected.end()));
 }
 
 TEST(ReplicaPlacementTest, PlaceKeysBulk) {
@@ -61,7 +67,7 @@ TEST(ReplicaPlacementTest, PlaceKeysBulk) {
 
 TEST(ReplicaPlacementTest, UnknownKeyQueries) {
   ReplicaPlacement p(100, 10, Rng(8));
-  p.PlaceKey(1);
+  p.PlaceKeys(2);
   EXPECT_TRUE(Holders(p, 99).empty());
   EXPECT_FALSE(p.PeerHoldsKey(100, 1));  // beyond the population
 }
